@@ -118,15 +118,6 @@ fn lane_batch_step_many(c: &mut Criterion) {
         }
     }
     group.finish();
-    let mut group = c.benchmark_group("batch/lane8_edge_kernel_1024steps");
-    for (name, g) in scale_graphs() {
-        let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
-        group.bench_function(name, |b| {
-            let mut batch = LaneReplicaBatch::new(&g, spec, &pm_one(g.n()), &seeds).unwrap();
-            b.iter(|| batch.step_many(STEPS_PER_ITER));
-        });
-    }
-    group.finish();
 }
 
 #[cfg(not(feature = "lane"))]

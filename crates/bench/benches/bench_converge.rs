@@ -156,7 +156,7 @@ fn converge_voter(c: &mut Criterion) {
     group.bench_function(format!("batched{r}/n{}", g.n()), |b| {
         b.iter(|| {
             let mut batch = VoterBatch::new(&g, &opinions, &seeds(r)).unwrap();
-            let reports = batch.run_to_consensus(u64::MAX, 0, 1);
+            let reports = batch.run_to_consensus(u64::MAX, 0, 1).unwrap();
             assert!(reports.iter().all(|report| report.winner.is_some()));
             reports.iter().map(|report| report.steps).sum::<u64>()
         });

@@ -1,5 +1,6 @@
 //! Dynamic-graph kernels at production scale: evolving topologies under
-//! the batched step kernels, n up to 10^6.
+//! the batched step kernels (a one-replica `ReplicaBatch` on a churned
+//! `Topology`), n up to 10^6.
 //!
 //! Three questions, one group each:
 //!
@@ -22,13 +23,26 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
-use od_core::{DynamicStepKernel, EdgeModelParams, KernelSpec, NodeModelParams};
+use od_core::{EdgeModelParams, KernelSpec, NodeModelParams, ReplicaBatch, Topology};
 use od_graph::{generators, ChurnModel, DynamicGraph, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Steps advanced per epoch (= per benchmark iteration).
 const STEPS_PER_EPOCH: u64 = 1024;
+
+/// A one-seed batch stepping `spec` over `g` under `churn` (churn seed
+/// `churn_seed`, step seed `seed`).
+fn churned_batch(
+    g: &Graph,
+    spec: KernelSpec,
+    churn: ChurnModel,
+    churn_seed: u64,
+    seed: u64,
+) -> ReplicaBatch<'static> {
+    let topology = Topology::churned(DynamicGraph::new(g.clone()), churn, churn_seed);
+    ReplicaBatch::with_topology(topology, spec, &pm_one(g.n()), &[seed]).unwrap()
+}
 
 /// Square tori at n = 4096, 65536 and 1_000_000 (same scale set as
 /// `bench_batch`, so static vs dynamic numbers compare line for line).
@@ -49,16 +63,8 @@ fn dynamic_node_epochs(c: &mut Criterion) {
         for swaps in [0usize, 16] {
             let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
             group.bench_function(format!("{name}/swaps{swaps}"), |b| {
-                let mut kernel = DynamicStepKernel::new(
-                    DynamicGraph::new(g.clone()),
-                    pm_one(g.n()),
-                    spec,
-                    ChurnModel::edge_swap(swaps),
-                    17,
-                )
-                .unwrap();
-                let mut rng = StdRng::seed_from_u64(1);
-                b.iter(|| kernel.step_epoch(STEPS_PER_EPOCH, &mut rng).unwrap());
+                let mut batch = churned_batch(&g, spec, ChurnModel::edge_swap(swaps), 17, 1);
+                b.iter(|| batch.step_epoch(STEPS_PER_EPOCH).unwrap());
             });
         }
     }
@@ -70,16 +76,8 @@ fn dynamic_edge_epochs(c: &mut Criterion) {
     for (name, g) in scale_graphs() {
         let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
         group.bench_function(format!("{name}/swaps16"), |b| {
-            let mut kernel = DynamicStepKernel::new(
-                DynamicGraph::new(g.clone()),
-                pm_one(g.n()),
-                spec,
-                ChurnModel::edge_swap(16),
-                18,
-            )
-            .unwrap();
-            let mut rng = StdRng::seed_from_u64(2);
-            b.iter(|| kernel.step_epoch(STEPS_PER_EPOCH, &mut rng).unwrap());
+            let mut batch = churned_batch(&g, spec, ChurnModel::edge_swap(16), 18, 2);
+            b.iter(|| batch.step_epoch(STEPS_PER_EPOCH).unwrap());
         });
     }
     group.finish();

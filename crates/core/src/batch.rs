@@ -17,8 +17,15 @@
 //! runner (`od-experiments::runner::monte_carlo_batched`) relies on to
 //! keep result multisets schedule-independent.
 //!
+//! Both batches step over a [`Topology`]: the borrowed static graph of
+//! [`ReplicaBatch::new`] / [`VoterBatch::new`], or a churned one whose
+//! epoch-boundary hook evolves the graph for every replica at once (see
+//! [`crate::Topology`]). The drivers treat a static graph as churn rate
+//! 0, so there is one retirement loop per state kind.
+//!
 //! [`StepKernel`]: crate::StepKernel
 
+use crate::dynamic::Topology;
 use crate::engine::{
     resolve_check_every, resolve_threads, ConvergeConfig, ConvergenceReport, StopRule,
 };
@@ -26,8 +33,8 @@ use crate::error::CoreError;
 use crate::kernel::{
     compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
     run_steps, run_voter_block_parallel, run_voter_steps_tracked, slice_average,
-    slice_potential_pi, slice_weighted_average, swap_rows, BlockCheck, BlockOutcome, KernelSpec,
-    PotentialTracker,
+    slice_potential_pi, slice_weighted_average, swap_rows, validate_values, BlockCheck,
+    BlockOutcome, KernelSpec, PotentialTracker,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -57,7 +64,7 @@ use rand::SeedableRng;
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplicaBatch<'g> {
-    graph: &'g Graph,
+    topology: Topology<'g>,
     spec: KernelSpec,
     n: usize,
     /// Replica-major `R × n` value storage: replica `r` occupies
@@ -70,8 +77,8 @@ pub struct ReplicaBatch<'g> {
 }
 
 impl<'g> ReplicaBatch<'g> {
-    /// Creates `seeds.len()` replicas of the scenario, all starting from
-    /// `xi0`, replica `r` seeded with `seeds[r]`.
+    /// Creates `seeds.len()` replicas of the scenario on a static graph,
+    /// all starting from `xi0`, replica `r` seeded with `seeds[r]`.
     ///
     /// # Errors
     ///
@@ -82,29 +89,46 @@ impl<'g> ReplicaBatch<'g> {
         xi0: &[f64],
         seeds: &[u64],
     ) -> Result<Self, CoreError> {
-        // Validate once through the kernel constructor, then replicate.
-        let kernel = crate::StepKernel::new(graph, xi0.to_vec(), spec)?;
-        let n = xi0.len();
-        let mut values = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            values.extend_from_slice(kernel.values());
-        }
+        ReplicaBatch::with_topology(Topology::from(graph), spec, xi0, seeds)
+    }
+
+    /// [`ReplicaBatch::new`] on any [`Topology`]; validation runs on its
+    /// current committed CSR.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`crate::StepKernel::new`].
+    pub fn with_topology(
+        topology: Topology<'g>,
+        spec: KernelSpec,
+        xi0: &[f64],
+        seeds: &[u64],
+    ) -> Result<Self, CoreError> {
+        let graph = topology.graph();
+        validate_values(graph, xi0)?;
+        spec.validate(graph)?;
         let (sample, perm) = spec.scratch(graph);
         Ok(ReplicaBatch {
-            graph,
             spec,
-            n,
-            values,
+            n: xi0.len(),
+            values: xi0.repeat(seeds.len()),
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             sample,
             perm,
             time: 0,
+            topology,
         })
     }
 
-    /// The underlying graph (shared by every replica).
+    /// The committed CSR currently shared by every replica.
     pub fn graph(&self) -> &Graph {
-        self.graph
+        self.topology.graph()
+    }
+
+    /// The topology the replicas step over (epoch and mutation counters
+    /// of a churned graph).
+    pub fn topology(&self) -> &Topology<'g> {
+        &self.topology
     }
 
     /// The model spec.
@@ -146,16 +170,18 @@ impl<'g> ReplicaBatch<'g> {
         &self.values[r * self.n..(r + 1) * self.n]
     }
 
-    /// Advances every replica by `steps` steps.
+    /// Advances every replica by `steps` steps on the current (frozen)
+    /// topology.
     ///
     /// Replicas are advanced one after another (the shared CSR arrays stay
     /// hot; each replica's values are contiguous), each from its own RNG,
     /// so the result is independent of replica order and count. Performs
     /// no heap allocation.
     pub fn step_many(&mut self, steps: u64) {
+        let graph = self.topology.graph();
         for (r, rng) in self.rngs.iter_mut().enumerate() {
             run_steps(
-                self.graph,
+                graph,
                 self.spec,
                 &mut self.values[r * self.n..(r + 1) * self.n],
                 &mut self.sample,
@@ -165,6 +191,22 @@ impl<'g> ReplicaBatch<'g> {
             );
         }
         self.time += steps;
+    }
+
+    /// One epoch: [`ReplicaBatch::step_many`], then the topology's
+    /// epoch-boundary hook — one churn application shared by every
+    /// replica on a churned topology, nothing on a static graph. Returns
+    /// the number of elementary mutations this epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ChurnFailed`] if the churn model errors;
+    /// [`CoreError::InvalidSampleSize`] / [`CoreError::Disconnected`] if
+    /// degree-changing churn broke the kernel's sampling preconditions
+    /// (the values are left at the epoch boundary).
+    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
+        self.step_many(steps);
+        self.topology.end_epoch(Some(self.spec))
     }
 
     /// Drives every replica to ε-convergence (`φ(ξ(t)) ≤ ε`, Eq. 3) or to
@@ -193,6 +235,11 @@ impl<'g> ReplicaBatch<'g> {
     ///   throughput); [`StopRule::Exact`] reproduces the scalar per-step
     ///   stopping rule bit for bit via an incrementally tracked potential
     ///   (see [`crate::run_until_converged`]).
+    /// * **Churn** — on a churned [`Topology`] every block is one epoch:
+    ///   the live replicas step on the frozen topology, the epoch hook
+    ///   churns it, and `φ` is evaluated on the **post-churn** topology.
+    ///   Each report's `mutations` is the count at that replica's own
+    ///   retirement boundary.
     ///
     /// After the call, each replica's values are frozen at its stopping
     /// state (canonical order is restored, so [`ReplicaBatch::replica_values`]
@@ -203,25 +250,30 @@ impl<'g> ReplicaBatch<'g> {
     /// # Errors
     ///
     /// [`CoreError::InvalidEpsilon`] if the threshold is negative or not
-    /// finite.
+    /// finite; [`CoreError::ExactStopUnderChurn`] for [`StopRule::Exact`]
+    /// on a churned topology; otherwise the [`ReplicaBatch::step_epoch`]
+    /// errors (the values are left at the failing epoch boundary).
     pub fn run_until_converged(
         &mut self,
         config: ConvergeConfig,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
         config.validate()?;
+        let churned = self.topology.is_churned();
+        let exact = config.stop == StopRule::Exact;
+        if exact && churned {
+            return Err(CoreError::ExactStopUnderChurn);
+        }
         let r_total = self.replicas();
         let n = self.n;
         let mut reports = vec![ConvergenceReport::default(); r_total];
         if r_total == 0 {
             return Ok(reports);
         }
-        let graph = self.graph;
         let spec = self.spec;
         let check_every = config.resolved_check_every(n);
         let threads = config.resolved_threads();
-        let exact = config.stop == StopRule::Exact;
         let pi: Vec<f64> = if exact {
-            graph.stationary_distribution()
+            self.topology.graph().stationary_distribution()
         } else {
             Vec::new()
         };
@@ -254,12 +306,15 @@ impl<'g> ReplicaBatch<'g> {
         // before the first step, so already-converged replicas retire
         // with zero steps.
         let mut block = 0u64;
-        loop {
+        let result = loop {
+            // Under churn a block steps unchecked, the epoch hook churns,
+            // and a zero-step pass checks φ on the post-churn topology.
+            let epoch = churned && block > 0;
             blocks[..live].fill(block);
             run_replica_block_parallel(
-                graph,
+                self.topology.graph(),
                 spec,
-                &check,
+                if epoch { &BlockCheck::None } else { &check },
                 n,
                 &mut self.values,
                 &mut self.rngs,
@@ -268,6 +323,27 @@ impl<'g> ReplicaBatch<'g> {
                 &blocks,
                 threads,
             );
+            if epoch {
+                if let Err(err) = self.topology.end_epoch(Some(spec)) {
+                    t_call += block;
+                    break Err(err);
+                }
+                blocks[..live].fill(0);
+                run_replica_block_parallel(
+                    self.topology.graph(),
+                    spec,
+                    &check,
+                    n,
+                    &mut self.values,
+                    &mut self.rngs,
+                    &mut trackers,
+                    &mut outcomes[..live],
+                    &blocks,
+                    threads,
+                );
+                outcomes[..live].iter_mut().for_each(|o| o.steps = block);
+            }
+            let mutations = self.topology.mutations();
             for slot in 0..live {
                 let outcome = outcomes[slot];
                 reports[slot_replica[slot]] = ConvergenceReport {
@@ -275,6 +351,7 @@ impl<'g> ReplicaBatch<'g> {
                     converged: outcome.converged,
                     potential: outcome.potential,
                     weighted_average: outcome.weighted_average,
+                    mutations,
                 };
             }
             t_call += block;
@@ -288,10 +365,10 @@ impl<'g> ReplicaBatch<'g> {
                 }
             });
             if live == 0 || t_call >= config.max_steps {
-                break;
+                break Ok(());
             }
             block = check_every.min(config.max_steps - t_call);
-        }
+        };
         self.time += t_call;
 
         // Put the storage back in canonical replica order.
@@ -301,7 +378,7 @@ impl<'g> ReplicaBatch<'g> {
             swap_rows(values, n, a, b);
             rngs.swap(a, b);
         });
-        Ok(reports)
+        result.map(|()| reports)
     }
 
     /// `Avg(t)` of replica `r`. O(n).
@@ -309,46 +386,65 @@ impl<'g> ReplicaBatch<'g> {
         slice_average(self.replica_values(r))
     }
 
-    /// `M(t) = Σ π_u ξ_u(t)` of replica `r`. O(n).
+    /// `M(t) = Σ π_u ξ_u(t)` of replica `r` on the current topology. O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        slice_weighted_average(self.graph, self.replica_values(r))
+        slice_weighted_average(self.graph(), self.replica_values(r))
     }
 
-    /// The potential `φ(ξ(t))` (Eq. 3) of replica `r`. O(n).
+    /// The potential `φ(ξ(t))` (Eq. 3) of replica `r` on the current
+    /// topology. O(n).
     pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        slice_potential_pi(self.graph, self.replica_values(r))
+        slice_potential_pi(self.graph(), self.replica_values(r))
     }
 }
 
 /// `R` independent replicas of a voter-model scenario (structure-of-arrays
-/// opinions, one shared graph). The discrete sibling of [`ReplicaBatch`].
+/// opinions, one shared topology). The discrete sibling of
+/// [`ReplicaBatch`].
 ///
 /// Each replica carries an incrementally maintained count of *discordant
 /// edges* (edges whose endpoints disagree): the step loop adjusts it with
 /// one O(d_u) neighbourhood scan whenever an opinion actually flips, so
-/// [`VoterBatch::replica_is_consensus`] is O(1) instead of the former
-/// O(n) vector scan — and a `run_to_consensus`-style sweep over the whole
-/// batch drops from O(R·n) to O(R) per check.
+/// [`VoterBatch::replica_is_consensus`] is O(1) away from consensus
+/// instead of the former O(n) vector scan. On a churned topology the
+/// counts are recomputed (one O(m) sweep per live replica) after every
+/// epoch whose churn actually mutated the graph, because moving edges
+/// invalidates them.
 #[derive(Debug, Clone)]
 pub struct VoterBatch<'g> {
-    graph: &'g Graph,
+    topology: Topology<'g>,
     n: usize,
     /// Replica-major `R × n` opinion storage.
     opinions: Vec<u32>,
-    /// Per-replica discordant-edge count (0 ⟺ consensus on a connected
-    /// graph).
+    /// Per-replica discordant-edge count on the committed topology.
     discord: Vec<u64>,
     rngs: Vec<StdRng>,
     time: u64,
 }
 
 impl<'g> VoterBatch<'g> {
-    /// Creates `seeds.len()` voter replicas starting from `opinions0`.
+    /// Creates `seeds.len()` voter replicas on a static graph, starting
+    /// from `opinions0`.
     ///
     /// # Errors
     ///
     /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
     pub fn new(graph: &'g Graph, opinions0: &[u32], seeds: &[u64]) -> Result<Self, CoreError> {
+        VoterBatch::with_topology(Topology::from(graph), opinions0, seeds)
+    }
+
+    /// [`VoterBatch::new`] on any [`Topology`]; validation runs on its
+    /// current committed CSR.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    pub fn with_topology(
+        topology: Topology<'g>,
+        opinions0: &[u32],
+        seeds: &[u64],
+    ) -> Result<Self, CoreError> {
+        let graph = topology.graph();
         if graph.is_directed() {
             return Err(CoreError::DirectedUnsupported);
         }
@@ -367,22 +463,22 @@ impl<'g> VoterBatch<'g> {
                 nodes: graph.n(),
             });
         }
-        let n = opinions0.len();
-        let mut opinions = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            opinions.extend_from_slice(opinions0);
-        }
         // All replicas start identical, so one O(m) scan seeds every
         // replica's incremental discordant-edge counter.
         let discord0 = count_discordant_edges(graph, opinions0);
         Ok(VoterBatch {
-            graph,
-            n,
-            opinions,
+            n: opinions0.len(),
+            opinions: opinions0.repeat(seeds.len()),
             discord: vec![discord0; seeds.len()],
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             time: 0,
+            topology,
         })
+    }
+
+    /// The topology the replicas step over.
+    pub fn topology(&self) -> &Topology<'g> {
+        &self.topology
     }
 
     /// Number of replicas `R`.
@@ -407,12 +503,14 @@ impl<'g> VoterBatch<'g> {
         &self.opinions[r * self.n..(r + 1) * self.n]
     }
 
-    /// Advances every replica by `steps` voter steps, maintaining the
-    /// per-replica discordant-edge counts as opinions flip.
+    /// Advances every replica by `steps` voter steps on the current
+    /// topology, maintaining the per-replica discordant-edge counts as
+    /// opinions flip.
     pub fn step_many(&mut self, steps: u64) {
+        let graph = self.topology.graph();
         for (r, rng) in self.rngs.iter_mut().enumerate() {
             run_voter_steps_tracked(
-                self.graph,
+                graph,
                 &mut self.opinions[r * self.n..(r + 1) * self.n],
                 &mut self.discord[r],
                 steps,
@@ -422,16 +520,48 @@ impl<'g> VoterBatch<'g> {
         self.time += steps;
     }
 
-    /// Whether replica `r` has reached consensus: O(1) via the incremental
-    /// discordant-edge count (zero ⟺ all nodes agree, because the graph is
-    /// connected by construction).
+    /// One epoch: [`VoterBatch::step_many`], then the topology's
+    /// epoch-boundary hook (see [`ReplicaBatch::step_epoch`]), recomputing
+    /// the discord counters when churn mutated the graph. Returns the
+    /// number of elementary mutations this epoch.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::ChurnFailed`] if the churn model errors;
+    /// [`CoreError::InvalidSampleSize`] if churn isolated a node (the
+    /// voter step samples a uniform neighbour, so every node needs
+    /// degree ≥ 1).
+    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
+        self.step_many(steps);
+        self.end_epoch(self.replicas())
+    }
+
+    /// The epoch hook plus the discord recount of the first `live` slots.
+    fn end_epoch(&mut self, live: usize) -> Result<u64, CoreError> {
+        let applied = self.topology.end_epoch(None)?;
+        if applied > 0 {
+            let graph = self.topology.graph();
+            for (slot, discord) in self.discord[..live].iter_mut().enumerate() {
+                *discord = count_discordant_edges(
+                    graph,
+                    &self.opinions[slot * self.n..(slot + 1) * self.n],
+                );
+            }
+        }
+        Ok(applied)
+    }
+
+    /// Whether replica `r` has reached consensus. The O(1) discord count
+    /// screens out the common case; zero discord implies consensus only
+    /// on a *connected* graph, which churn does not guarantee, so a zero
+    /// count is confirmed by an O(n) scan.
     ///
     /// # Panics
     ///
     /// Panics if `r >= replicas()`.
     pub fn replica_is_consensus(&self, r: usize) -> bool {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        self.discord[r] == 0
+        self.replica_discordant_edges(r) == 0
+            && self.replica_opinions(r).windows(2).all(|w| w[0] == w[1])
     }
 
     /// Number of edges whose endpoints disagree in replica `r`. O(1).
@@ -457,31 +587,36 @@ impl<'g> VoterBatch<'g> {
     /// replicas are stepped in blocks of `check_every` steps (0 = one
     /// block per `n`) across `threads` scoped workers (0 = available
     /// parallelism), converged replicas retire early and the SoA opinion
-    /// buffer is compacted. The incremental discordant-edge count makes
-    /// the consensus check O(1) *per step*, so every reported consensus
-    /// time is exact and bit-identical to the scalar
-    /// [`crate::VoterModel::run_to_consensus`] with the same seed,
+    /// buffer is compacted. On a static graph the incremental
+    /// discordant-edge count makes the consensus check O(1) *per step*,
+    /// so every reported consensus time is exact and bit-identical to the
+    /// scalar [`crate::VoterModel::run_to_consensus`] with the same seed,
     /// independent of thread count, retirement order and batch size.
     /// `max_steps` is a per-call budget per replica.
+    ///
+    /// On a churned topology every block is one epoch: live replicas step
+    /// the *full* epoch (consensus is absorbing, so the draws past it
+    /// touch nothing), the epoch hook churns, and consensus is checked on
+    /// the post-churn topology — epoch-granular stopping times, each
+    /// report carrying the mutation count at its own retirement boundary.
+    ///
+    /// # Errors
+    ///
+    /// The [`VoterBatch::step_epoch`] errors (the opinions are left at
+    /// the failing epoch boundary); never on a static graph.
     pub fn run_to_consensus(
         &mut self,
         max_steps: u64,
         check_every: u64,
         threads: usize,
-    ) -> Vec<VoterReport> {
+    ) -> Result<Vec<VoterReport>, CoreError> {
         let r_total = self.replicas();
         let n = self.n;
-        let mut reports = vec![
-            VoterReport {
-                steps: 0,
-                winner: None,
-            };
-            r_total
-        ];
+        let mut reports = vec![VoterReport::default(); r_total];
         if r_total == 0 {
-            return reports;
+            return Ok(reports);
         }
-        let graph = self.graph;
+        let churned = self.topology.is_churned();
         let check_every = resolve_check_every(check_every, n);
         let threads = resolve_threads(threads);
         let mut slot_replica: Vec<usize> = (0..r_total).collect();
@@ -491,22 +626,46 @@ impl<'g> VoterBatch<'g> {
         // Zero-step first pass: consensus is checked before the first
         // step, mirroring the scalar driver.
         let mut block = 0u64;
-        loop {
+        let result = loop {
+            let epoch = churned && block > 0;
             run_voter_block_parallel(
-                graph,
+                self.topology.graph(),
                 n,
                 &mut self.opinions,
                 &mut self.discord,
                 &mut self.rngs,
                 &mut outcomes[..live],
                 block,
+                !churned,
                 threads,
             );
+            if epoch {
+                if let Err(err) = self.end_epoch(live) {
+                    t_call += block;
+                    break Err(err);
+                }
+                // The post-churn check is O(live) away from consensus:
+                // run it inline.
+                run_voter_block_parallel(
+                    self.topology.graph(),
+                    n,
+                    &mut self.opinions,
+                    &mut self.discord,
+                    &mut self.rngs,
+                    &mut outcomes[..live],
+                    0,
+                    false,
+                    1,
+                );
+                outcomes[..live].iter_mut().for_each(|o| o.steps = block);
+            }
+            let mutations = self.topology.mutations();
             for slot in 0..live {
                 let outcome = outcomes[slot];
                 reports[slot_replica[slot]] = VoterReport {
                     steps: t_call + outcome.steps,
                     winner: outcome.converged.then(|| self.opinions[slot * n]),
+                    mutations,
                 };
             }
             t_call += block;
@@ -519,10 +678,10 @@ impl<'g> VoterBatch<'g> {
                 rngs.swap(a, b);
             });
             if live == 0 || t_call >= max_steps {
-                break;
+                break Ok(());
             }
             block = check_every.min(max_steps - t_call);
-        }
+        };
         self.time += t_call;
 
         let opinions = &mut self.opinions;
@@ -533,7 +692,7 @@ impl<'g> VoterBatch<'g> {
             discord.swap(a, b);
             rngs.swap(a, b);
         });
-        reports
+        result.map(|()| reports)
     }
 }
 
@@ -1019,7 +1178,7 @@ mod tests {
         let seeds = [41u64, 42, 43, 44, 45, 46];
         for threads in [1usize, 3, 6] {
             let mut batch = VoterBatch::new(&g, &ops0, &seeds).unwrap();
-            let reports = batch.run_to_consensus(100_000, 64, threads);
+            let reports = batch.run_to_consensus(100_000, 64, threads).unwrap();
             for (r, &seed) in seeds.iter().enumerate() {
                 let mut scalar = VoterModel::new(&g, ops0.clone()).unwrap();
                 let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -1039,7 +1198,7 @@ mod tests {
         let g = generators::cycle(5).unwrap();
         // Already at consensus: zero steps, winner reported.
         let mut batch = VoterBatch::new(&g, &[9; 5], &[1, 2]).unwrap();
-        let reports = batch.run_to_consensus(1_000, 0, 0);
+        let reports = batch.run_to_consensus(1_000, 0, 0).unwrap();
         for report in &reports {
             assert_eq!(report.steps, 0);
             assert_eq!(report.winner, Some(9));
@@ -1047,12 +1206,12 @@ mod tests {
         // Budget exhaustion.
         let ops0: Vec<u32> = (0..5).collect();
         let mut batch = VoterBatch::new(&g, &ops0, &[7]).unwrap();
-        let reports = batch.run_to_consensus(3, 0, 1);
+        let reports = batch.run_to_consensus(3, 0, 1).unwrap();
         assert_eq!(reports[0].steps, 3);
         assert_eq!(reports[0].winner, None);
         // Empty batch.
         let mut empty = VoterBatch::new(&g, &ops0, &[]).unwrap();
-        assert!(empty.run_to_consensus(10, 0, 0).is_empty());
+        assert!(empty.run_to_consensus(10, 0, 0).unwrap().is_empty());
     }
 
     #[test]

@@ -1,1023 +1,211 @@
-//! Step kernels over *evolving* topologies.
+//! The topology a replica batch steps over: one fixed CSR, or an
+//! evolving one.
 //!
-//! The static kernels ([`StepKernel`], [`VoterKernel`],
-//! [`crate::ReplicaBatch`]) borrow one immutable CSR instance for their
-//! whole run. The dynamic kernels here own a
-//! [`DynamicGraph`](od_graph::DynamicGraph) instead and advance in
-//! **epochs**: a block of process steps on the frozen committed CSR, then
-//! one application of a [`ChurnModel`] at the epoch boundary, a commit,
-//! and (when churn can change degrees) a revalidation of the kernel's
-//! sampling preconditions.
+//! A static graph is the churn-rate-0 case of a time-varying one, so the
+//! batched engines ([`crate::ReplicaBatch`], [`crate::VoterBatch`] and the
+//! lane tier) take a [`Topology`] and advance in **epochs**: a block of
+//! process steps on the frozen committed CSR, then one epoch-boundary
+//! hook. On a borrowed static graph the hook does nothing; on a churned
+//! topology it applies one [`ChurnModel`] epoch to the owned
+//! [`DynamicGraph`], commits, and (when churn can change degrees)
+//! revalidates the kernel's sampling preconditions.
 //!
 //! Two RNG streams keep everything reproducible:
 //!
-//! * the *step* RNG (caller-supplied, per replica in the batched case)
-//!   drives neighbour sampling exactly as in the static kernels;
+//! * the *step* RNGs (one per replica) drive neighbour sampling exactly as
+//!   on a static graph;
 //! * a dedicated *churn* RNG, seeded at construction, drives topology
 //!   evolution.
 //!
 //! Because the streams never interleave, a run with churn rate 0
-//! (`ChurnModel::is_static`) consumes the step RNG identically to the
-//! static kernels and is therefore **bit-identical** to them — the
-//! equivalence suite (`tests/batch_equivalence.rs`) gates this on the
-//! full scenario matrix. And because churn draws only from its own RNG,
-//! the topology trajectory of a [`DynamicReplicaBatch`] is independent of
-//! how many replicas share it, preserving the Monte-Carlo runner's
-//! schedule-independence guarantee.
-//!
-//! [`StepKernel`]: crate::StepKernel
-//! [`VoterKernel`]: crate::VoterKernel
+//! (`ChurnModel::is_static`) consumes the step RNGs identically to a
+//! static run and is therefore **bit-identical** to it — the equivalence
+//! suite (`tests/batch_equivalence.rs`) gates this on the full scenario
+//! matrix. And because churn draws only from its own RNG, once per epoch,
+//! the topology trajectory is independent of how many replicas share it,
+//! preserving the Monte-Carlo runner's schedule-independence guarantee.
 
-use crate::engine::{resolve_threads, validate_epsilon, ConvergenceReport};
 use crate::error::CoreError;
-use crate::kernel::{
-    compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
-    run_steps, run_voter_epoch_parallel, run_voter_steps, run_voter_steps_tracked, slice_average,
-    slice_potential_pi, slice_weighted_average, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec,
-};
-use od_graph::{ChurnModel, DynamicGraph, Graph, NodeId};
+use crate::kernel::KernelSpec;
+use od_graph::{ChurnModel, DynamicGraph, Graph};
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::SeedableRng;
 
-/// Applies one epoch of churn, commits the delta into the CSR, and
-/// re-checks the sampling preconditions the kernels rely on. `spec` is
-/// `Some` for the averaging kernels (k ≤ d_min plus a non-empty edge set
-/// for the EdgeModel) and `None` for the voter path (every node needs at
-/// least one neighbour).
-///
-/// Degree-preserving churn (edge swaps) skips the O(n) revalidation —
-/// the preconditions held before, so they still hold.
-pub(crate) fn churn_epoch(
-    graph: &mut DynamicGraph,
-    churn: &ChurnModel,
-    churn_rng: &mut StdRng,
-    epoch: u64,
-    spec: Option<KernelSpec>,
-) -> Result<u64, CoreError> {
-    if churn.is_static() {
-        return Ok(0);
-    }
-    let applied = churn
-        .apply(graph, epoch, churn_rng)
-        .map_err(CoreError::ChurnFailed)?;
-    graph.commit();
-    if !churn.preserves_degrees() {
-        match spec {
-            Some(spec) => {
-                spec.validate(graph.graph())?;
-                if graph.m() == 0 {
-                    return Err(CoreError::Disconnected);
-                }
-            }
-            None => {
-                if graph.graph().min_degree() == 0 {
-                    return Err(CoreError::InvalidSampleSize { k: 1, d_min: 0 });
-                }
-            }
-        }
-    }
-    Ok(applied as u64)
-}
-
-/// [`StepKernel`](crate::StepKernel) over an evolving topology.
+/// The graph a replica batch steps over: a borrowed static CSR, or an
+/// owned [`DynamicGraph`] that a [`ChurnModel`] evolves at every epoch
+/// boundary (see the module docs).
 ///
 /// # Example
 ///
 /// ```
-/// use od_core::{DynamicStepKernel, KernelSpec, NodeModelParams};
+/// use od_core::{KernelSpec, NodeModelParams, ReplicaBatch, Topology};
 /// use od_graph::{generators, ChurnModel, DynamicGraph};
-/// use rand::rngs::StdRng;
-/// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let graph = DynamicGraph::new(generators::torus(16, 16)?);
 /// let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2)?);
 /// let xi0: Vec<f64> = (0..256).map(f64::from).collect();
 /// // 8 degree-preserving edge swaps between epochs of 256 steps.
-/// let mut kernel =
-///     DynamicStepKernel::new(graph, xi0, spec, ChurnModel::edge_swap(8), 42)?;
-/// let mut rng = StdRng::seed_from_u64(7);
+/// let topology = Topology::churned(graph, ChurnModel::edge_swap(8), 42);
+/// let mut batch = ReplicaBatch::with_topology(topology, spec, &xi0, &[7])?;
 /// for _ in 0..50 {
-///     kernel.step_epoch(256, &mut rng)?;
+///     batch.step_epoch(256)?;
 /// }
-/// assert_eq!(kernel.time(), 50 * 256);
-/// assert_eq!(kernel.epoch(), 50);
-/// assert!(kernel.mutations() > 0);
-/// kernel.graph().check_invariants()?;
+/// assert_eq!(batch.time(), 50 * 256);
+/// assert_eq!(batch.topology().epoch(), 50);
+/// assert!(batch.topology().mutations() > 0);
+/// batch.graph().check_invariants()?;
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct DynamicStepKernel {
-    graph: DynamicGraph,
-    spec: KernelSpec,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    values: Vec<f64>,
-    sample: Vec<NodeId>,
-    perm: Vec<u32>,
-    time: u64,
-    epoch: u64,
-    mutations: u64,
-}
+pub struct Topology<'g>(Kind<'g>);
 
-impl DynamicStepKernel {
-    /// Creates a dynamic kernel on the given topology. Pending mutations
-    /// on `graph` are committed first; validation then mirrors
-    /// [`crate::StepKernel::new`] on the committed CSR. `churn_seed`
-    /// seeds the dedicated churn RNG.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`crate::StepKernel::new`].
-    pub fn new(
-        mut graph: DynamicGraph,
-        initial_values: Vec<f64>,
-        spec: KernelSpec,
-        churn: ChurnModel,
-        churn_seed: u64,
-    ) -> Result<Self, CoreError> {
-        graph.commit();
-        validate_values(graph.graph(), &initial_values)?;
-        spec.validate(graph.graph())?;
-        let (sample, perm) = spec.scratch(graph.graph());
-        Ok(DynamicStepKernel {
-            graph,
-            spec,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            values: initial_values,
-            sample,
-            perm,
-            time: 0,
-            epoch: 0,
-            mutations: 0,
-        })
-    }
-
-    /// The committed CSR the kernel is currently stepping over.
-    pub fn graph(&self) -> &Graph {
-        self.graph.graph()
-    }
-
-    /// The underlying dynamic graph (rebuild/patch counters, logical
-    /// view).
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// The model spec.
-    pub fn spec(&self) -> KernelSpec {
-        self.spec
-    }
-
-    /// The churn model evolving the topology.
-    pub fn churn(&self) -> &ChurnModel {
-        &self.churn
-    }
-
-    /// The current value vector `ξ(t)`.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Steps taken so far.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Epoch boundaries crossed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total elementary topology mutations applied so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Advances one epoch: `steps` process steps on the frozen topology,
-    /// then one churn application + commit at the boundary. Returns the
-    /// number of elementary mutations this epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ChurnFailed`] if the churn model errors;
-    /// [`CoreError::InvalidSampleSize`] / [`CoreError::Disconnected`] if
-    /// degree-changing churn broke the kernel's sampling preconditions
-    /// (the values are left at the epoch boundary, so the caller can
-    /// inspect them).
-    pub fn step_epoch<R: RngCore + ?Sized>(
-        &mut self,
-        steps: u64,
-        rng: &mut R,
-    ) -> Result<u64, CoreError> {
-        run_steps(
-            self.graph.graph(),
-            self.spec,
-            &mut self.values,
-            &mut self.sample,
-            &mut self.perm,
-            steps,
-            rng,
-        );
-        self.time += steps;
-        let applied = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
-    }
-
-    /// Runs `epochs` epochs of `steps_per_epoch` steps each.
-    ///
-    /// # Errors
-    ///
-    /// See [`DynamicStepKernel::step_epoch`].
-    pub fn step_epochs<R: RngCore + ?Sized>(
-        &mut self,
-        epochs: u64,
-        steps_per_epoch: u64,
-        rng: &mut R,
-    ) -> Result<(), CoreError> {
-        for _ in 0..epochs {
-            self.step_epoch(steps_per_epoch, rng)?;
-        }
-        Ok(())
-    }
-
-    /// `Avg(t) = (1/n) Σ ξ_u(t)`. O(n).
-    pub fn average(&self) -> f64 {
-        slice_average(&self.values)
-    }
-
-    /// `M(t) = Σ π_u ξ_u(t)` with `π_u = d_u/2m` on the **current**
-    /// topology. O(n). Note that under degree-changing churn the weights
-    /// move with the graph, so `M` is only a martingale within an epoch.
-    pub fn weighted_average(&self) -> f64 {
-        slice_weighted_average(self.graph.graph(), &self.values)
-    }
-
-    /// The potential `φ(ξ(t))` (Eq. 3) on the current topology. O(n).
-    pub fn potential_pi(&self) -> f64 {
-        slice_potential_pi(self.graph.graph(), &self.values)
-    }
-
-    /// Discrepancy `K = max ξ − min ξ`. O(n).
-    pub fn discrepancy(&self) -> f64 {
-        od_linalg::vector::discrepancy(&self.values)
-    }
-}
-
-/// [`VoterKernel`](crate::VoterKernel) over an evolving topology.
 #[derive(Debug, Clone)]
-pub struct DynamicVoterKernel {
-    graph: DynamicGraph,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    opinions: Vec<u32>,
-    time: u64,
-    epoch: u64,
-    mutations: u64,
+enum Kind<'g> {
+    Static(&'g Graph),
+    Churned(Box<Churned>),
 }
 
-impl DynamicVoterKernel {
-    /// Creates a dynamic voter kernel (validation mirrors
-    /// [`crate::VoterKernel::new`] on the committed CSR).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
-    pub fn new(
-        mut graph: DynamicGraph,
-        opinions: Vec<u32>,
-        churn: ChurnModel,
-        churn_seed: u64,
-    ) -> Result<Self, CoreError> {
-        graph.commit();
-        if !graph.graph().is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions.len(),
-                nodes: graph.n(),
-            });
-        }
-        Ok(DynamicVoterKernel {
-            graph,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            opinions,
-            time: 0,
-            epoch: 0,
-            mutations: 0,
-        })
-    }
-
-    /// The committed CSR the kernel is currently stepping over.
-    pub fn graph(&self) -> &Graph {
-        self.graph.graph()
-    }
-
-    /// The underlying dynamic graph.
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// Current opinions.
-    pub fn opinions(&self) -> &[u32] {
-        &self.opinions
-    }
-
-    /// Steps taken so far.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Epoch boundaries crossed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total elementary topology mutations applied so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Advances one epoch of `steps` voter steps, then churns. Returns
-    /// the number of elementary mutations this epoch.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ChurnFailed`] if the churn model errors;
-    /// [`CoreError::InvalidSampleSize`] if churn isolated a node (the
-    /// voter step samples a uniform neighbour, so every node needs
-    /// degree ≥ 1).
-    pub fn step_epoch<R: RngCore + ?Sized>(
-        &mut self,
-        steps: u64,
-        rng: &mut R,
-    ) -> Result<u64, CoreError> {
-        run_voter_steps(self.graph.graph(), &mut self.opinions, steps, rng);
-        self.time += steps;
-        let applied = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            None,
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
-    }
-
-    /// Whether all nodes share one opinion. O(n).
-    pub fn is_consensus(&self) -> bool {
-        self.opinions.windows(2).all(|w| w[0] == w[1])
-    }
-}
-
-/// [`ReplicaBatch`](crate::ReplicaBatch) over an evolving topology: `R`
-/// independent replicas of the averaging process share **one** evolving
-/// environment.
-///
-/// All replicas see the same topology trajectory (churn draws from one
-/// dedicated RNG, once per epoch, regardless of `R`), while each replica
-/// keeps its own value vector and step RNG. A replica's trajectory is
-/// therefore a function of `(churn_seed, its own seed)` only — identical
-/// whether it runs alone or with many others, which is what lets
-/// `monte_carlo_batched` sweeps over dynamic graphs stay independent of
-/// batch size.
 #[derive(Debug, Clone)]
-pub struct DynamicReplicaBatch {
+struct Churned {
     graph: DynamicGraph,
-    spec: KernelSpec,
     churn: ChurnModel,
-    churn_rng: StdRng,
-    n: usize,
-    /// Replica-major `R × n` value storage.
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
-    sample: Vec<NodeId>,
-    perm: Vec<u32>,
-    time: u64,
+    rng: StdRng,
     epoch: u64,
     mutations: u64,
 }
 
-impl DynamicReplicaBatch {
-    /// Creates `seeds.len()` replicas on a shared evolving topology, all
-    /// starting from `xi0`, replica `r` seeded with `seeds[r]`.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`crate::StepKernel::new`].
-    pub fn new(
-        mut graph: DynamicGraph,
-        spec: KernelSpec,
-        xi0: &[f64],
-        seeds: &[u64],
-        churn: ChurnModel,
-        churn_seed: u64,
-    ) -> Result<Self, CoreError> {
+impl<'g> From<&'g Graph> for Topology<'g> {
+    fn from(graph: &'g Graph) -> Self {
+        Topology(Kind::Static(graph))
+    }
+}
+
+impl Topology<'static> {
+    /// An evolving topology: `churn` is applied to `graph` once per epoch
+    /// boundary, drawing from a dedicated RNG seeded with `churn_seed`.
+    /// Pending mutations on `graph` are committed first.
+    pub fn churned(mut graph: DynamicGraph, churn: ChurnModel, churn_seed: u64) -> Self {
         graph.commit();
-        validate_values(graph.graph(), xi0)?;
-        spec.validate(graph.graph())?;
-        let n = xi0.len();
-        let mut values = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            values.extend_from_slice(xi0);
-        }
-        let (sample, perm) = spec.scratch(graph.graph());
-        Ok(DynamicReplicaBatch {
+        Topology(Kind::Churned(Box::new(Churned {
             graph,
-            spec,
             churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            n,
-            values,
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
-            sample,
-            perm,
-            time: 0,
+            rng: StdRng::seed_from_u64(churn_seed),
             epoch: 0,
             mutations: 0,
-        })
+        })))
     }
+}
 
-    /// The committed CSR shared by every replica.
+impl Topology<'_> {
+    /// The committed CSR the replicas currently step over.
     pub fn graph(&self) -> &Graph {
-        self.graph.graph()
+        match &self.0 {
+            Kind::Static(graph) => graph,
+            Kind::Churned(churned) => churned.graph.graph(),
+        }
     }
 
-    /// The underlying dynamic graph.
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
+    /// The evolving graph (rebuild/patch counters, logical view), or
+    /// `None` on a static graph.
+    pub fn dynamic_graph(&self) -> Option<&DynamicGraph> {
+        match &self.0 {
+            Kind::Static(_) => None,
+            Kind::Churned(churned) => Some(&churned.graph),
+        }
     }
 
-    /// The model spec.
-    pub fn spec(&self) -> KernelSpec {
-        self.spec
+    /// Whether epoch boundaries apply churn.
+    pub(crate) fn is_churned(&self) -> bool {
+        matches!(self.0, Kind::Churned(_))
     }
 
-    /// Number of replicas `R`.
-    pub fn replicas(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Nodes per replica.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Steps taken so far (common to all replicas).
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Epoch boundaries crossed so far.
+    /// Epoch boundaries crossed so far (always 0 on a static graph).
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        match &self.0 {
+            Kind::Static(_) => 0,
+            Kind::Churned(churned) => churned.epoch,
+        }
     }
 
-    /// Total elementary topology mutations applied so far.
+    /// Total elementary topology mutations applied so far (always 0 on
+    /// a static graph).
     pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Replica `r`'s value vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= replicas()`.
-    pub fn replica_values(&self, r: usize) -> &[f64] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.values[r * self.n..(r + 1) * self.n]
-    }
-
-    /// Advances every replica by `steps` steps on the frozen topology,
-    /// then applies **one** churn epoch shared by all replicas. Returns
-    /// the number of elementary mutations this epoch.
-    ///
-    /// # Errors
-    ///
-    /// See [`DynamicStepKernel::step_epoch`].
-    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_steps(
-                self.graph.graph(),
-                self.spec,
-                &mut self.values[r * self.n..(r + 1) * self.n],
-                &mut self.sample,
-                &mut self.perm,
-                steps,
-                rng,
-            );
+        match &self.0 {
+            Kind::Static(_) => 0,
+            Kind::Churned(churned) => churned.mutations,
         }
-        self.time += steps;
-        let applied = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
     }
 
-    /// Drives every replica to ε-convergence or to `max_epochs` epochs of
-    /// `steps_per_epoch` steps each, churning the shared topology at every
-    /// epoch boundary. Returns one [`ConvergenceReport`] per replica in
-    /// original replica order (`steps` counts process steps, so converged
-    /// replicas report multiples of `steps_per_epoch`).
+    /// The epoch-boundary hook: on a churned topology applies one epoch
+    /// of churn, commits the delta into the CSR and re-checks the
+    /// sampling preconditions the kernels rely on, returning the number
+    /// of elementary mutations; a no-op returning 0 on a static graph.
+    /// `spec` is `Some` for the averaging kernels (k ≤ d_min plus a
+    /// non-empty edge set for the EdgeModel) and `None` for the voter
+    /// path (every node needs at least one neighbour).
     ///
-    /// The dynamic sibling of [`crate::ReplicaBatch::run_until_converged`]:
-    /// live replicas are stepped in parallel on the frozen topology
-    /// (`threads` scoped workers, 0 = available parallelism), then the
-    /// epoch's churn is applied and committed, and `φ` is evaluated on the
-    /// **post-churn** topology — the same block-granular stopping rule the
-    /// DYN-CHURN sweep has always used. Converged replicas retire early
-    /// and the SoA buffer is compacted; because churn draws from its own
-    /// dedicated RNG once per epoch regardless of how many replicas are
-    /// live, every replica's trajectory and stopping time is a function of
-    /// `(churn_seed, its own seed)` only — independent of thread count,
-    /// retirement order and batch size.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidEpsilon`] for a negative or non-finite
-    /// threshold; otherwise the same errors as
-    /// [`DynamicStepKernel::step_epoch`] (the values are left at the
-    /// failing epoch boundary).
-    pub fn run_until_converged(
-        &mut self,
-        steps_per_epoch: u64,
-        max_epochs: u64,
-        epsilon: f64,
-        threads: usize,
-    ) -> Result<Vec<ConvergenceReport>, CoreError> {
-        validate_epsilon(epsilon)?;
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![ConvergenceReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
-        let threads = resolve_threads(threads);
-        let spec = self.spec;
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut blocks = vec![0u64; r_total];
-        let mut trackers = Vec::new(); // epoch-granular: no tracked state
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        let result = loop {
-            // Evaluate phi on the current committed topology (a zero-step
-            // block computes the boundary potential in parallel; on the
-            // first pass this is the entry check, afterwards the
-            // post-churn epoch-boundary check), record, retire + compact.
-            blocks[..live].fill(0);
-            run_replica_block_parallel(
-                self.graph.graph(),
-                spec,
-                &BlockCheck::Boundary {
-                    epsilon,
-                    kind: crate::engine::PotentialKind::Pi,
-                },
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = ConvergenceReport {
-                    steps: t_call,
-                    converged: outcome.converged,
-                    potential: outcome.potential,
-                    weighted_average: outcome.weighted_average,
-                };
-            }
-            let values = &mut self.values;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || epochs == max_epochs {
-                break Ok(());
-            }
-            // One epoch: step the live replicas on the frozen committed
-            // CSR, then churn + commit + revalidate, exactly as
-            // `step_epoch`.
-            blocks[..live].fill(steps_per_epoch);
-            run_replica_block_parallel(
-                self.graph.graph(),
-                spec,
-                &BlockCheck::None,
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            self.time += steps_per_epoch;
-            t_call += steps_per_epoch;
-            match churn_epoch(
-                &mut self.graph,
-                &self.churn,
-                &mut self.churn_rng,
-                self.epoch,
-                Some(spec),
-            ) {
-                Ok(applied) => {
-                    self.epoch += 1;
-                    epochs += 1;
-                    self.mutations += applied;
-                }
-                Err(err) => break Err(err),
-            }
+    /// Degree-preserving churn (edge swaps) skips the O(n) revalidation —
+    /// the preconditions held before, so they still hold.
+    pub(crate) fn end_epoch(&mut self, spec: Option<KernelSpec>) -> Result<u64, CoreError> {
+        let Kind::Churned(churned) = &mut self.0 else {
+            return Ok(0);
         };
-
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(values, n, a, b);
-            rngs.swap(a, b);
-        });
-        result.map(|()| reports)
-    }
-
-    /// `Avg(t)` of replica `r`. O(n).
-    pub fn replica_average(&self, r: usize) -> f64 {
-        slice_average(self.replica_values(r))
-    }
-
-    /// `M(t) = Σ π_u ξ_u(t)` of replica `r` on the current topology.
-    /// O(n).
-    pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        slice_weighted_average(self.graph.graph(), self.replica_values(r))
-    }
-
-    /// The potential `φ(ξ(t))` (Eq. 3) of replica `r` on the current
-    /// topology. O(n).
-    pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        slice_potential_pi(self.graph.graph(), self.replica_values(r))
-    }
-}
-
-/// One replica's outcome from
-/// [`DynamicVoterBatch::run_to_consensus`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DynamicVoterReport {
-    /// Steps the replica ran before retiring (epoch-granular: consensus
-    /// is detected at epoch boundaries, so this is a multiple of
-    /// `steps_per_epoch`).
-    pub steps: u64,
-    /// The unanimous opinion, if consensus was reached within the budget.
-    pub winner: Option<u32>,
-    /// Elementary topology mutations the shared environment had applied
-    /// by the time this replica retired.
-    pub mutations: u64,
-}
-
-/// [`VoterBatch`](crate::VoterBatch) over an evolving topology: `R`
-/// independent voter replicas share **one** evolving environment
-/// (the voter sibling of [`DynamicReplicaBatch`]).
-///
-/// Each replica keeps its own opinion row, its own step RNG and an
-/// incrementally maintained discordant-edge count; churn draws from one
-/// dedicated RNG once per epoch regardless of `R`, so every replica's
-/// trajectory is a function of `(churn_seed, its own seed)` only —
-/// independent of batch size, retirement order and thread count, exactly
-/// like the averaging batches.
-///
-/// The discord counter makes the per-epoch consensus check O(1) per
-/// replica instead of the former O(n) opinion scan; it is **recomputed
-/// at churn boundaries** (one O(m) sweep per live replica, only after an
-/// epoch whose churn actually mutated the topology), because moving
-/// edges invalidates the incremental count.
-#[derive(Debug, Clone)]
-pub struct DynamicVoterBatch {
-    graph: DynamicGraph,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    n: usize,
-    /// Replica-major `R × n` opinion storage.
-    opinions: Vec<u32>,
-    /// Per-replica discordant-edge count on the committed topology.
-    discords: Vec<u64>,
-    rngs: Vec<StdRng>,
-    time: u64,
-    epoch: u64,
-    mutations: u64,
-}
-
-impl DynamicVoterBatch {
-    /// Creates `seeds.len()` voter replicas on a shared evolving
-    /// topology, all starting from `opinions0`, replica `r` seeded with
-    /// `seeds[r]`. Validation mirrors [`crate::VoterBatch::new`] on the
-    /// committed CSR.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
-    pub fn new(
-        mut graph: DynamicGraph,
-        opinions0: &[u32],
-        seeds: &[u64],
-        churn: ChurnModel,
-        churn_seed: u64,
-    ) -> Result<Self, CoreError> {
-        graph.commit();
-        if !graph.graph().is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions0.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions0.len(),
-                nodes: graph.n(),
-            });
-        }
-        let n = opinions0.len();
-        let mut opinions = Vec::with_capacity(n * seeds.len());
-        for _ in 0..seeds.len() {
-            opinions.extend_from_slice(opinions0);
-        }
-        // All replicas start identical: one O(m) scan seeds every
-        // incremental counter.
-        let discord0 = count_discordant_edges(graph.graph(), opinions0);
-        Ok(DynamicVoterBatch {
+        let Churned {
             graph,
             churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            n,
-            opinions,
-            discords: vec![discord0; seeds.len()],
-            rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
-            time: 0,
-            epoch: 0,
-            mutations: 0,
-        })
-    }
-
-    /// The committed CSR shared by every replica.
-    pub fn graph(&self) -> &Graph {
-        self.graph.graph()
-    }
-
-    /// The underlying dynamic graph.
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// Number of replicas `R`.
-    pub fn replicas(&self) -> usize {
-        self.rngs.len()
-    }
-
-    /// Nodes per replica.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Steps taken so far (retired replicas stopped at their own
-    /// [`DynamicVoterReport::steps`]).
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Epoch boundaries crossed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total elementary topology mutations applied so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Replica `r`'s opinion vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= replicas()`.
-    pub fn replica_opinions(&self, r: usize) -> &[u32] {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        &self.opinions[r * self.n..(r + 1) * self.n]
-    }
-
-    /// Whether replica `r`'s opinions are unanimous. The O(1) discord
-    /// count screens out the common case; zero discord only implies
-    /// consensus on a *connected* topology, and degree-changing churn
-    /// guarantees no more than `d_min >= 1`, so a zero count falls back
-    /// to the O(n) scan the per-trial loop has always used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= replicas()`.
-    pub fn replica_is_consensus(&self, r: usize) -> bool {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        self.discords[r] == 0 && self.replica_opinions(r).windows(2).all(|w| w[0] == w[1])
-    }
-
-    /// Number of edges whose endpoints disagree in replica `r`, on the
-    /// current committed topology. O(1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= replicas()`.
-    pub fn replica_discordant_edges(&self, r: usize) -> u64 {
-        assert!(r < self.replicas(), "replica {r} out of range");
-        self.discords[r]
-    }
-
-    /// Recomputes every live replica's discord count after a topology
-    /// change (one O(m) sweep per replica).
-    fn recompute_discords(&mut self, live: usize) {
-        let graph = self.graph.graph();
-        for slot in 0..live {
-            self.discords[slot] =
-                count_discordant_edges(graph, &self.opinions[slot * self.n..(slot + 1) * self.n]);
+            rng,
+            epoch,
+            mutations,
+        } = churned.as_mut();
+        *epoch += 1;
+        if churn.is_static() {
+            return Ok(0);
         }
-    }
-
-    /// Advances every replica by `steps` voter steps on the frozen
-    /// topology, then applies **one** churn epoch shared by all replicas
-    /// (recomputing the discord counters when churn mutated the
-    /// topology). Returns the number of elementary mutations this epoch.
-    ///
-    /// # Errors
-    ///
-    /// See [`DynamicVoterKernel::step_epoch`].
-    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_voter_steps_tracked(
-                self.graph.graph(),
-                &mut self.opinions[r * self.n..(r + 1) * self.n],
-                &mut self.discords[r],
-                steps,
-                rng,
-            );
-        }
-        self.time += steps;
-        let applied = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            None,
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        if applied > 0 {
-            self.recompute_discords(self.replicas());
-        }
-        Ok(applied)
-    }
-
-    /// Drives every replica to consensus or to `max_epochs` epochs of
-    /// `steps_per_epoch` steps each, churning the shared topology at
-    /// every epoch boundary. Returns one [`DynamicVoterReport`] per
-    /// replica in original replica order.
-    ///
-    /// Consensus is checked at epoch boundaries (before the first epoch
-    /// and after each churn), so stopping times are **epoch-granular and
-    /// bit-identical to the per-trial [`DynamicVoterKernel`] loop** the
-    /// scenario dispatcher used before this driver existed: live
-    /// replicas step the *full* epoch (consensus is absorbing — the
-    /// draws a scalar loop would burn past consensus touch nothing),
-    /// across `threads` scoped workers (0 = available parallelism), and
-    /// converged replicas retire early with the SoA buffer compacted.
-    /// Each retired replica records the mutation count of the shared
-    /// environment at its own retirement boundary, exactly as a solo
-    /// kernel run would.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`DynamicVoterKernel::step_epoch`] (the opinions are
-    /// left at the failing epoch boundary).
-    pub fn run_to_consensus(
-        &mut self,
-        steps_per_epoch: u64,
-        max_epochs: u64,
-        threads: usize,
-    ) -> Result<Vec<DynamicVoterReport>, CoreError> {
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![DynamicVoterReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
-        let threads = resolve_threads(threads);
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        let result = loop {
-            // Boundary check (the entry check on the first pass): the
-            // O(1) discord screen plus the per-trial loop's O(n)
-            // unanimity scan when it hits zero. Record, retire, compact.
-            for slot in 0..live {
-                let row = &self.opinions[slot * n..(slot + 1) * n];
-                let consensus = self.discords[slot] == 0 && row.windows(2).all(|w| w[0] == w[1]);
-                outcomes[slot] = BlockOutcome {
-                    steps: 0,
-                    potential: self.discords[slot] as f64,
-                    weighted_average: f64::NAN,
-                    converged: consensus,
-                };
-                reports[slot_replica[slot]] = DynamicVoterReport {
-                    steps: t_call,
-                    winner: consensus.then(|| row[0]),
-                    mutations: self.mutations,
-                };
-            }
-            let opinions = &mut self.opinions;
-            let discords = &mut self.discords;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(opinions, n, a, b);
-                discords.swap(a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || epochs == max_epochs {
-                break Ok(());
-            }
-            // One epoch: full block for every live replica (no early
-            // exit — the per-trial loop keeps drawing through consensus
-            // and frozen states), then churn + commit + revalidate.
-            run_voter_epoch_parallel(
-                self.graph.graph(),
-                n,
-                &mut self.opinions,
-                &mut self.discords,
-                &mut self.rngs,
-                live,
-                steps_per_epoch,
-                threads,
-            );
-            self.time += steps_per_epoch;
-            t_call += steps_per_epoch;
-            match churn_epoch(
-                &mut self.graph,
-                &self.churn,
-                &mut self.churn_rng,
-                self.epoch,
-                None,
-            ) {
-                Ok(applied) => {
-                    self.epoch += 1;
-                    epochs += 1;
-                    self.mutations += applied;
-                    if applied > 0 {
-                        self.recompute_discords(live);
+        let applied = churn
+            .apply(graph, *epoch - 1, rng)
+            .map_err(CoreError::ChurnFailed)? as u64;
+        *mutations += applied;
+        graph.commit();
+        if !churn.preserves_degrees() {
+            match spec {
+                Some(spec) => {
+                    spec.validate(graph.graph())?;
+                    if graph.m() == 0 {
+                        return Err(CoreError::Disconnected);
                     }
                 }
-                Err(err) => break Err(err),
+                None => {
+                    if graph.graph().min_degree() == 0 {
+                        return Err(CoreError::InvalidSampleSize { k: 1, d_min: 0 });
+                    }
+                }
             }
-        };
-
-        let opinions = &mut self.opinions;
-        let discords = &mut self.discords;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(opinions, n, a, b);
-            discords.swap(a, b);
-            rngs.swap(a, b);
-        });
-        result.map(|()| reports)
+        }
+        Ok(applied)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EdgeModelParams, NodeModelParams, ReplicaBatch, StepKernel, VoterKernel};
+    use crate::{
+        ConvergeConfig, EdgeModelParams, NodeModelParams, ReplicaBatch, StepKernel, StopRule,
+        VoterBatch, VoterKernel, VoterReport,
+    };
     use od_graph::generators;
+    use rand::Rng;
 
     fn assert_bits_identical(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "diverged at {i}: {x} vs {y}");
         }
+    }
+
+    fn churned(g: &Graph, churn: ChurnModel, churn_seed: u64) -> Topology<'static> {
+        Topology::churned(DynamicGraph::new(g.clone()), churn, churn_seed)
     }
 
     #[test]
@@ -1032,20 +220,16 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             kernel.step_many(4_000, &mut rng);
 
-            let mut dynamic = DynamicStepKernel::new(
-                DynamicGraph::new(g.clone()),
-                xi0.clone(),
-                spec,
-                ChurnModel::Static,
-                999, // churn seed is irrelevant at rate 0
-            )
-            .unwrap();
-            let mut rng = StdRng::seed_from_u64(11);
-            dynamic.step_epochs(8, 500, &mut rng).unwrap();
-            assert_bits_identical(kernel.values(), dynamic.values());
+            // The churn seed is irrelevant at rate 0.
+            let topology = churned(&g, ChurnModel::Static, 999);
+            let mut dynamic = ReplicaBatch::with_topology(topology, spec, &xi0, &[11]).unwrap();
+            for _ in 0..8 {
+                dynamic.step_epoch(500).unwrap();
+            }
+            assert_bits_identical(kernel.values(), dynamic.replica_values(0));
             assert_eq!(dynamic.time(), 4_000);
-            assert_eq!(dynamic.epoch(), 8);
-            assert_eq!(dynamic.mutations(), 0);
+            assert_eq!(dynamic.topology().epoch(), 8);
+            assert_eq!(dynamic.topology().mutations(), 0);
         }
     }
 
@@ -1055,18 +239,19 @@ mod tests {
         let degrees = g.degree_sequence();
         let xi0: Vec<f64> = (0..64).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
-        let mut kernel =
-            DynamicStepKernel::new(DynamicGraph::new(g), xi0, spec, ChurnModel::edge_swap(4), 3)
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        kernel.step_epochs(30, 64, &mut rng).unwrap();
-        assert!(kernel.mutations() > 0);
-        assert_eq!(kernel.graph().degree_sequence(), degrees);
-        kernel.graph().check_invariants().unwrap();
+        let topology = churned(&g, ChurnModel::edge_swap(4), 3);
+        let mut batch = ReplicaBatch::with_topology(topology, spec, &xi0, &[1]).unwrap();
+        for _ in 0..30 {
+            batch.step_epoch(64).unwrap();
+        }
+        assert!(batch.topology().mutations() > 0);
+        assert_eq!(batch.graph().degree_sequence(), degrees);
+        batch.graph().check_invariants().unwrap();
         // Degree-preserving commits stay on the patch path.
-        assert_eq!(kernel.dynamic_graph().rebuilds(), 0);
-        assert!(kernel.dynamic_graph().patches() > 0);
-        assert!(kernel.values().iter().all(|v| v.is_finite()));
+        let dynamic = batch.topology().dynamic_graph().unwrap();
+        assert_eq!(dynamic.rebuilds(), 0);
+        assert!(dynamic.patches() > 0);
+        assert!(batch.values().iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -1077,13 +262,11 @@ mod tests {
         let g = generators::cycle(12).unwrap();
         let xi0: Vec<f64> = (0..12).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
-        let mut kernel =
-            DynamicStepKernel::new(DynamicGraph::new(g), xi0, spec, ChurnModel::rewire(6, 1), 5)
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
+        let topology = churned(&g, ChurnModel::rewire(6, 1), 5);
+        let mut batch = ReplicaBatch::with_topology(topology, spec, &xi0, &[2]).unwrap();
         let mut saw_error = false;
         for _ in 0..50 {
-            match kernel.step_epoch(12, &mut rng) {
+            match batch.step_epoch(12) {
                 Ok(_) => {}
                 Err(CoreError::InvalidSampleSize { k: 2, d_min }) => {
                     assert!(d_min < 2);
@@ -1097,18 +280,42 @@ mod tests {
     }
 
     #[test]
+    fn converge_error_leaves_batch_at_failing_boundary() {
+        // The converge driver surfaces the same churn failure as an epoch
+        // loop, with the failing epoch's steps counted in `time`.
+        let g = generators::cycle(12).unwrap();
+        let xi0: Vec<f64> = (0..12).map(f64::from).collect();
+        let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
+        let make = || {
+            let topology = churned(&g, ChurnModel::rewire(6, 1), 5);
+            ReplicaBatch::with_topology(topology, spec, &xi0, &[2]).unwrap()
+        };
+        let mut reference = make();
+        let failed = (0..50).any(|_| reference.step_epoch(12).is_err());
+        assert!(failed, "floor-1 rewiring never dropped below k=2");
+        let mut batch = make();
+        let config = ConvergeConfig::new(0.0, 12 * 50).with_check_every(12);
+        assert!(matches!(
+            batch.run_until_converged(config),
+            Err(CoreError::InvalidSampleSize { k: 2, .. })
+        ));
+        assert_eq!(batch.time(), reference.time());
+        assert_bits_identical(batch.replica_values(0), reference.replica_values(0));
+    }
+
+    #[test]
     fn rewire_with_adequate_floor_keeps_running() {
         let g = generators::torus(6, 6).unwrap();
         let xi0: Vec<f64> = (0..36).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
-        let mut kernel =
-            DynamicStepKernel::new(DynamicGraph::new(g), xi0, spec, ChurnModel::rewire(3, 2), 5)
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(2);
-        kernel.step_epochs(40, 36, &mut rng).unwrap();
-        assert!(kernel.mutations() > 0);
-        assert!(kernel.graph().min_degree() >= 2);
-        kernel.graph().check_invariants().unwrap();
+        let topology = churned(&g, ChurnModel::rewire(3, 2), 5);
+        let mut batch = ReplicaBatch::with_topology(topology, spec, &xi0, &[2]).unwrap();
+        for _ in 0..40 {
+            batch.step_epoch(36).unwrap();
+        }
+        assert!(batch.topology().mutations() > 0);
+        assert!(batch.graph().min_degree() >= 2);
+        batch.graph().check_invariants().unwrap();
     }
 
     #[test]
@@ -1119,15 +326,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(8);
         kernel.step_many(2_000, &mut rng);
 
-        let mut dynamic =
-            DynamicVoterKernel::new(DynamicGraph::new(g.clone()), ops0, ChurnModel::Static, 1)
-                .unwrap();
-        let mut rng = StdRng::seed_from_u64(8);
+        let topology = churned(&g, ChurnModel::Static, 1);
+        let mut dynamic = VoterBatch::with_topology(topology, &ops0, &[8]).unwrap();
         for _ in 0..4 {
-            dynamic.step_epoch(500, &mut rng).unwrap();
+            dynamic.step_epoch(500).unwrap();
         }
-        assert_eq!(kernel.opinions(), dynamic.opinions());
-        assert_eq!(kernel.is_consensus(), dynamic.is_consensus());
+        assert_eq!(kernel.opinions(), dynamic.replica_opinions(0));
+        assert_eq!(kernel.is_consensus(), dynamic.replica_is_consensus(0));
     }
 
     #[test]
@@ -1136,14 +341,15 @@ mod tests {
         let b: Vec<(u32, u32)> = (0..8).map(|i| (i, (i + 3) % 8)).collect();
         let churn = ChurnModel::temporal_replay(vec![a.clone(), b]).unwrap();
         let graph = DynamicGraph::from_edges(8, &a).unwrap();
-        let mut voter = DynamicVoterKernel::new(graph, (0..8).collect(), churn, 4).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
+        let topology = Topology::churned(graph, churn, 4);
+        let ops0: Vec<u32> = (0..8).collect();
+        let mut voter = VoterBatch::with_topology(topology, &ops0, &[9]).unwrap();
         for _ in 0..20 {
-            voter.step_epoch(32, &mut rng).unwrap();
-            voter.graph().check_invariants().unwrap();
+            voter.step_epoch(32).unwrap();
+            voter.topology().graph().check_invariants().unwrap();
         }
         assert_eq!(voter.time(), 640);
-        assert_eq!(voter.mutations(), 20 * 8);
+        assert_eq!(voter.topology().mutations(), 20 * 8);
     }
 
     #[test]
@@ -1154,33 +360,18 @@ mod tests {
         let g = generators::torus(5, 5).unwrap();
         let xi0: Vec<f64> = (0..25).map(|i| f64::from(i) - 12.0).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.3, 2).unwrap());
-        let churn = ChurnModel::edge_swap(2);
-        let churn_seed = 77;
-
-        let mut solo = DynamicReplicaBatch::new(
-            DynamicGraph::new(g.clone()),
-            spec,
-            &xi0,
-            &[7],
-            churn.clone(),
-            churn_seed,
-        )
-        .unwrap();
-        let mut wide = DynamicReplicaBatch::new(
-            DynamicGraph::new(g),
-            spec,
-            &xi0,
-            &[7, 8, 9, 10],
-            churn,
-            churn_seed,
-        )
-        .unwrap();
+        let make = |seeds: &[u64]| {
+            let topology = churned(&g, ChurnModel::edge_swap(2), 77);
+            ReplicaBatch::with_topology(topology, spec, &xi0, seeds).unwrap()
+        };
+        let mut solo = make(&[7]);
+        let mut wide = make(&[7, 8, 9, 10]);
         for _ in 0..12 {
             solo.step_epoch(100).unwrap();
             wide.step_epoch(100).unwrap();
         }
         assert_bits_identical(solo.replica_values(0), wide.replica_values(0));
-        assert_eq!(solo.mutations(), wide.mutations());
+        assert_eq!(solo.topology().mutations(), wide.topology().mutations());
     }
 
     #[test]
@@ -1193,15 +384,9 @@ mod tests {
         for _ in 0..6 {
             fixed.step_many(200);
         }
-        let mut dynamic = DynamicReplicaBatch::new(
-            DynamicGraph::new(g.clone()),
-            spec,
-            &xi0,
-            &seeds,
-            ChurnModel::edge_swap(0), // rate 0 spelled differently
-            123,
-        )
-        .unwrap();
+        // Rate 0 spelled differently.
+        let topology = churned(&g, ChurnModel::edge_swap(0), 123);
+        let mut dynamic = ReplicaBatch::with_topology(topology, spec, &xi0, &seeds).unwrap();
         for _ in 0..6 {
             dynamic.step_epoch(200).unwrap();
         }
@@ -1212,8 +397,9 @@ mod tests {
                 dynamic.replica_potential_pi(r)
             );
         }
-        assert_eq!(dynamic.dynamic_graph().rebuilds(), 0);
-        assert_eq!(dynamic.dynamic_graph().patches(), 0);
+        let graph = dynamic.topology().dynamic_graph().unwrap();
+        assert_eq!(graph.rebuilds(), 0);
+        assert_eq!(graph.patches(), 0);
     }
 
     #[test]
@@ -1221,7 +407,7 @@ mod tests {
         // The engine must reproduce the exact stopping rule the DYN-CHURN
         // sweep used before it: potential checked on the post-churn
         // topology at every epoch boundary, time recorded as the boundary
-        // step count.
+        // step count, mutations as the count at that boundary.
         let g = generators::torus(4, 4).unwrap();
         let xi0: Vec<f64> = (0..16).map(|i| f64::from(i) - 7.5).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
@@ -1229,39 +415,33 @@ mod tests {
         let eps = 1e-10;
         let (steps_per_epoch, max_epochs) = (16u64, 600u64);
         let make = || {
-            DynamicReplicaBatch::new(
-                DynamicGraph::new(g.clone()),
-                spec,
-                &xi0,
-                &seeds,
-                ChurnModel::edge_swap(2),
-                77,
-            )
-            .unwrap()
+            let topology = churned(&g, ChurnModel::edge_swap(2), 77);
+            ReplicaBatch::with_topology(topology, spec, &xi0, &seeds).unwrap()
         };
 
         // Hand-rolled reference: step every replica every epoch, record
         // the first boundary at which each satisfies the threshold.
         let mut reference = make();
-        let mut done: Vec<Option<u64>> = vec![None; seeds.len()];
-        while reference.epoch() < max_epochs && done.iter().any(Option::is_none) {
+        let mut done: Vec<Option<(u64, u64)>> = vec![None; seeds.len()];
+        while reference.topology().epoch() < max_epochs && done.iter().any(Option::is_none) {
             reference.step_epoch(steps_per_epoch).unwrap();
             for (r, slot) in done.iter_mut().enumerate() {
                 if slot.is_none() && reference.replica_potential_pi(r) <= eps {
-                    *slot = Some(reference.time());
+                    *slot = Some((reference.time(), reference.topology().mutations()));
                 }
             }
         }
 
         for threads in [1usize, 4] {
             let mut engine = make();
-            let reports = engine
-                .run_until_converged(steps_per_epoch, max_epochs, eps, threads)
-                .unwrap();
+            let config = ConvergeConfig::new(eps, max_epochs * steps_per_epoch)
+                .with_check_every(steps_per_epoch)
+                .with_threads(threads);
+            let reports = engine.run_until_converged(config).unwrap();
             for (r, report) in reports.iter().enumerate() {
                 assert_eq!(
                     done[r],
-                    report.converged.then_some(report.steps),
+                    report.converged.then_some((report.steps, report.mutations)),
                     "replica {r} stopping time (threads={threads})"
                 );
             }
@@ -1276,16 +456,12 @@ mod tests {
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
         let seeds = [5u64, 6, 7, 8];
         let run = |seed_set: &[u64]| {
-            let mut batch = DynamicReplicaBatch::new(
-                DynamicGraph::new(g.clone()),
-                spec,
-                &xi0,
-                seed_set,
-                ChurnModel::edge_swap(3),
-                13,
-            )
-            .unwrap();
-            batch.run_until_converged(16, 500, 1e-9, 1).unwrap()
+            let topology = churned(&g, ChurnModel::edge_swap(3), 13);
+            let mut batch = ReplicaBatch::with_topology(topology, spec, &xi0, seed_set).unwrap();
+            let config = ConvergeConfig::new(1e-9, 500 * 16)
+                .with_check_every(16)
+                .with_threads(1);
+            batch.run_until_converged(config).unwrap()
         };
         let wide = run(&seeds);
         for (r, &seed) in seeds.iter().enumerate() {
@@ -1300,26 +476,12 @@ mod tests {
         let xi0: Vec<f64> = (0..10).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 3).unwrap());
         let seeds = [1u64, 2, 3];
-        let (eps, steps_per_epoch) = (1e-9, 25u64);
+        let config = ConvergeConfig::new(1e-9, 500 * 25).with_check_every(25);
         let mut fixed = ReplicaBatch::new(&g, spec, &xi0, &seeds).unwrap();
-        let static_reports = fixed
-            .run_until_converged(
-                crate::ConvergeConfig::new(eps, 500 * steps_per_epoch)
-                    .with_check_every(steps_per_epoch),
-            )
-            .unwrap();
-        let mut dynamic = DynamicReplicaBatch::new(
-            DynamicGraph::new(g.clone()),
-            spec,
-            &xi0,
-            &seeds,
-            ChurnModel::Static,
-            99,
-        )
-        .unwrap();
-        let dynamic_reports = dynamic
-            .run_until_converged(steps_per_epoch, 500, eps, 2)
-            .unwrap();
+        let static_reports = fixed.run_until_converged(config).unwrap();
+        let topology = churned(&g, ChurnModel::Static, 99);
+        let mut dynamic = ReplicaBatch::with_topology(topology, spec, &xi0, &seeds).unwrap();
+        let dynamic_reports = dynamic.run_until_converged(config.with_threads(2)).unwrap();
         assert_eq!(static_reports, dynamic_reports);
         for r in 0..seeds.len() {
             assert_bits_identical(fixed.replica_values(r), dynamic.replica_values(r));
@@ -1330,24 +492,24 @@ mod tests {
     fn dynamic_converge_rejects_bad_epsilon() {
         let g = generators::cycle(6).unwrap();
         let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
-        let mut batch = DynamicReplicaBatch::new(
-            DynamicGraph::new(g),
-            spec,
-            &[0.0; 6],
-            &[1],
-            ChurnModel::Static,
-            0,
-        )
-        .unwrap();
+        let topology = churned(&g, ChurnModel::Static, 0);
+        let mut batch = ReplicaBatch::with_topology(topology, spec, &[0.0; 6], &[1]).unwrap();
         assert!(matches!(
-            batch.run_until_converged(10, 10, f64::NAN, 1),
+            batch.run_until_converged(ConvergeConfig::new(f64::NAN, 10)),
             Err(CoreError::InvalidEpsilon { .. })
+        ));
+        // The tracked per-step rule follows one fixed graph.
+        assert!(matches!(
+            batch.run_until_converged(ConvergeConfig::new(1e-9, 10).with_stop(StopRule::Exact)),
+            Err(CoreError::ExactStopUnderChurn)
         ));
     }
 
-    /// The per-trial reference the scenario dispatcher used before
-    /// `DynamicVoterBatch`: epoch loop on a solo `DynamicVoterKernel`,
-    /// consensus checked (O(n) scan) at epoch boundaries.
+    /// Per-trial reference for the churned voter driver: one replica's
+    /// epoch loop over a `DynamicGraph`, with voter steps on the committed
+    /// CSR (uniform node, uniform neighbour — two draws, like
+    /// `VoterKernel`), then `ChurnModel::apply` + `DynamicGraph::commit`
+    /// at the boundary and an O(n) consensus scan.
     fn per_trial_voter_reference(
         g: &Graph,
         ops0: &[u32],
@@ -1356,23 +518,28 @@ mod tests {
         churn_seed: u64,
         steps_per_epoch: u64,
         max_epochs: u64,
-    ) -> DynamicVoterReport {
-        let mut kernel = DynamicVoterKernel::new(
-            DynamicGraph::new(g.clone()),
-            ops0.to_vec(),
-            churn.clone(),
-            churn_seed,
-        )
-        .unwrap();
+    ) -> VoterReport {
+        let mut graph = DynamicGraph::new(g.clone());
+        let mut churn_rng = StdRng::seed_from_u64(churn_seed);
         let mut rng = StdRng::seed_from_u64(seed);
-        while kernel.epoch() < max_epochs && !kernel.is_consensus() {
-            kernel.step_epoch(steps_per_epoch, &mut rng).unwrap();
+        let mut ops = ops0.to_vec();
+        let consensus = |ops: &[u32]| ops.windows(2).all(|w| w[0] == w[1]);
+        let (mut epoch, mut mutations) = (0u64, 0u64);
+        while epoch < max_epochs && !consensus(&ops) {
+            let csr = graph.graph();
+            for _ in 0..steps_per_epoch {
+                let u = rng.gen_range(0..csr.n());
+                let neighbors = csr.neighbors(u as u32);
+                ops[u] = ops[neighbors[rng.gen_range(0..neighbors.len())] as usize];
+            }
+            mutations += churn.apply(&mut graph, epoch, &mut churn_rng).unwrap() as u64;
+            graph.commit();
+            epoch += 1;
         }
-        let consensus = kernel.is_consensus();
-        DynamicVoterReport {
-            steps: kernel.time(),
-            winner: consensus.then(|| kernel.opinions()[0]),
-            mutations: kernel.mutations(),
+        VoterReport {
+            steps: epoch * steps_per_epoch,
+            winner: consensus(&ops).then(|| ops[0]),
+            mutations,
         }
     }
 
@@ -1380,7 +547,7 @@ mod tests {
     fn dynamic_voter_batch_matches_per_trial_loop() {
         // The batched driver must pin consensus times (and winners and
         // per-replica mutation counts) bit-identical to the per-trial
-        // kernel loop, for every thread count.
+        // epoch loop, for every thread count.
         let g = generators::torus(4, 4).unwrap();
         let ops0: Vec<u32> = (0..16).map(|i| i % 4).collect();
         let seeds = [31u64, 32, 33, 34, 35];
@@ -1390,23 +557,17 @@ mod tests {
             ChurnModel::edge_swap(2),
             ChurnModel::rewire(1, 1),
         ] {
-            let expected: Vec<DynamicVoterReport> = seeds
+            let expected: Vec<VoterReport> = seeds
                 .iter()
                 .map(|&s| {
                     per_trial_voter_reference(&g, &ops0, s, &churn, 55, steps_per_epoch, max_epochs)
                 })
                 .collect();
             for threads in [1usize, 3] {
-                let mut batch = DynamicVoterBatch::new(
-                    DynamicGraph::new(g.clone()),
-                    &ops0,
-                    &seeds,
-                    churn.clone(),
-                    55,
-                )
-                .unwrap();
+                let topology = churned(&g, churn.clone(), 55);
+                let mut batch = VoterBatch::with_topology(topology, &ops0, &seeds).unwrap();
                 let reports = batch
-                    .run_to_consensus(steps_per_epoch, max_epochs, threads)
+                    .run_to_consensus(max_epochs * steps_per_epoch, steps_per_epoch, threads)
                     .unwrap();
                 assert_eq!(reports, expected, "churn {churn:?}, threads {threads}");
                 assert!(reports.iter().all(|r| r.winner.is_some()));
@@ -1420,15 +581,9 @@ mod tests {
         let ops0: Vec<u32> = (0..8).collect();
         let seeds = [3u64, 4, 5, 6];
         let run = |seed_set: &[u64]| {
-            let mut batch = DynamicVoterBatch::new(
-                DynamicGraph::new(g.clone()),
-                &ops0,
-                seed_set,
-                ChurnModel::edge_swap(1),
-                9,
-            )
-            .unwrap();
-            batch.run_to_consensus(16, 50_000, 1).unwrap()
+            let topology = churned(&g, ChurnModel::edge_swap(1), 9);
+            let mut batch = VoterBatch::with_topology(topology, &ops0, seed_set).unwrap();
+            batch.run_to_consensus(16 * 50_000, 16, 1).unwrap()
         };
         let wide = run(&seeds);
         for (r, &seed) in seeds.iter().enumerate() {
@@ -1440,42 +595,40 @@ mod tests {
     #[test]
     fn dynamic_voter_batch_step_epoch_matches_per_trial_kernel() {
         // Fixed-horizon stepping: opinions after E epochs must equal the
-        // per-trial kernel's, and the incremental discord counts must
-        // match a brute-force recount after every churn boundary.
+        // per-trial loop's, and the incremental discord counts must match
+        // a brute-force recount after every churn boundary.
         let g = generators::torus(5, 5).unwrap();
         let ops0: Vec<u32> = (0..25).map(|i| i % 3).collect();
         let seeds = [11u64, 12, 13];
         let churn = ChurnModel::rewire(2, 1);
-        let mut batch = DynamicVoterBatch::new(
-            DynamicGraph::new(g.clone()),
-            &ops0,
-            &seeds,
-            churn.clone(),
-            21,
-        )
-        .unwrap();
-        let mut kernels: Vec<(DynamicVoterKernel, StdRng)> = seeds
+        let topology = churned(&g, churn.clone(), 21);
+        let mut batch = VoterBatch::with_topology(topology, &ops0, &seeds).unwrap();
+        let mut references: Vec<(DynamicGraph, StdRng, StdRng, Vec<u32>)> = seeds
             .iter()
             .map(|&s| {
                 (
-                    DynamicVoterKernel::new(
-                        DynamicGraph::new(g.clone()),
-                        ops0.clone(),
-                        churn.clone(),
-                        21,
-                    )
-                    .unwrap(),
+                    DynamicGraph::new(g.clone()),
+                    StdRng::seed_from_u64(21),
                     StdRng::seed_from_u64(s),
+                    ops0.clone(),
                 )
             })
             .collect();
-        for _ in 0..12 {
+        for epoch in 0..12 {
             batch.step_epoch(25).unwrap();
-            for (r, (kernel, rng)) in kernels.iter_mut().enumerate() {
-                kernel.step_epoch(25, rng).unwrap();
-                assert_eq!(kernel.opinions(), batch.replica_opinions(r));
-                assert_eq!(kernel.is_consensus(), batch.replica_is_consensus(r));
+            for (r, (graph, churn_rng, rng, ops)) in references.iter_mut().enumerate() {
+                let mut kernel = VoterKernel::new(graph.graph(), ops.clone()).unwrap();
+                kernel.step_many(25, rng);
+                ops.copy_from_slice(kernel.opinions());
+                churn.apply(graph, epoch, churn_rng).unwrap();
+                graph.commit();
+                assert_eq!(ops.as_slice(), batch.replica_opinions(r));
+                assert_eq!(
+                    ops.windows(2).all(|w| w[0] == w[1]),
+                    batch.replica_is_consensus(r)
+                );
                 let brute = batch
+                    .topology()
                     .graph()
                     .edges()
                     .filter(|&(u, v)| {
@@ -1487,7 +640,7 @@ mod tests {
             }
         }
         assert_eq!(batch.time(), 12 * 25);
-        assert!(batch.mutations() > 0);
+        assert!(batch.topology().mutations() > 0);
     }
 
     #[test]
@@ -1495,39 +648,31 @@ mod tests {
         let g = generators::cycle(6).unwrap();
         // Already at consensus: zero steps, zero mutations, winner
         // reported — the per-trial loop's entry check.
-        let mut batch = DynamicVoterBatch::new(
-            DynamicGraph::new(g.clone()),
-            &[7; 6],
-            &[1, 2],
-            ChurnModel::edge_swap(1),
-            3,
-        )
-        .unwrap();
-        let reports = batch.run_to_consensus(8, 1_000, 1).unwrap();
+        let topology = churned(&g, ChurnModel::edge_swap(1), 3);
+        let mut batch = VoterBatch::with_topology(topology, &[7; 6], &[1, 2]).unwrap();
+        let reports = batch.run_to_consensus(8 * 1_000, 8, 1).unwrap();
         for report in &reports {
             assert_eq!(
                 *report,
-                DynamicVoterReport {
+                VoterReport {
                     steps: 0,
                     winner: Some(7),
                     mutations: 0
                 }
             );
         }
-        assert_eq!(batch.mutations(), 0, "no epoch ran, no churn applied");
-        // Empty batch.
-        let mut empty = DynamicVoterBatch::new(
-            DynamicGraph::new(g.clone()),
-            &[0, 1, 0, 1, 0, 1],
-            &[],
-            ChurnModel::Static,
+        assert_eq!(
+            batch.topology().mutations(),
             0,
-        )
-        .unwrap();
-        assert!(empty.run_to_consensus(8, 10, 1).unwrap().is_empty());
+            "no epoch ran, no churn applied"
+        );
+        // Empty batch.
+        let topology = churned(&g, ChurnModel::Static, 0);
+        let mut empty = VoterBatch::with_topology(topology, &[0, 1, 0, 1, 0, 1], &[]).unwrap();
+        assert!(empty.run_to_consensus(8 * 10, 8, 1).unwrap().is_empty());
         // Validation mirrors the static VoterBatch.
         assert!(matches!(
-            DynamicVoterBatch::new(DynamicGraph::new(g), &[0; 4], &[1], ChurnModel::Static, 0),
+            VoterBatch::with_topology(churned(&g, ChurnModel::Static, 0), &[0; 4], &[1]),
             Err(CoreError::LengthMismatch { .. })
         ));
     }
@@ -1537,38 +682,21 @@ mod tests {
         let g = generators::cycle(5).unwrap();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 3).unwrap());
         assert!(matches!(
-            DynamicStepKernel::new(
-                DynamicGraph::new(g.clone()),
-                vec![0.0; 5],
-                spec,
-                ChurnModel::Static,
-                0
-            ),
+            ReplicaBatch::with_topology(churned(&g, ChurnModel::Static, 0), spec, &[0.0; 5], &[]),
             Err(CoreError::InvalidSampleSize { d_min: 2, .. })
         ));
         let spec = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
         assert!(matches!(
-            DynamicStepKernel::new(
-                DynamicGraph::new(g.clone()),
-                vec![0.0; 3],
-                spec,
-                ChurnModel::Static,
-                0
-            ),
+            ReplicaBatch::with_topology(churned(&g, ChurnModel::Static, 0), spec, &[0.0; 3], &[]),
             Err(CoreError::LengthMismatch { .. })
         ));
         assert!(matches!(
-            DynamicVoterKernel::new(DynamicGraph::new(g), vec![0; 4], ChurnModel::Static, 0),
+            VoterBatch::with_topology(churned(&g, ChurnModel::Static, 0), &[0; 4], &[]),
             Err(CoreError::LengthMismatch { .. })
         ));
         let disconnected = od_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(matches!(
-            DynamicVoterKernel::new(
-                DynamicGraph::new(disconnected),
-                vec![0; 4],
-                ChurnModel::Static,
-                0
-            ),
+            VoterBatch::with_topology(churned(&disconnected, ChurnModel::Static, 0), &[0; 4], &[]),
             Err(CoreError::Disconnected)
         ));
     }

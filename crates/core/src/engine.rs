@@ -31,6 +31,10 @@ pub struct ConvergenceReport {
     /// stopping rule this is bit-identical to the scalar
     /// [`estimate_convergence_value`] path.
     pub weighted_average: f64,
+    /// Elementary topology mutations a churned batch topology
+    /// ([`crate::Topology`]) had applied when this replica stopped; 0 on
+    /// a static graph.
+    pub mutations: u64,
 }
 
 /// Runs `process` until the paper's ε-convergence (`φ(ξ(t)) ≤ ε`, Eq. 3)
@@ -60,6 +64,7 @@ pub fn run_until_converged<P: OpinionProcess + ?Sized>(
         converged: process.state().potential_pi() <= epsilon,
         potential: process.state().potential_pi(),
         weighted_average: process.state().weighted_average(),
+        mutations: 0,
     }
 }
 
@@ -99,6 +104,7 @@ pub fn run_kernel_until_converged<R: RngCore + ?Sized>(
         converged: potential <= epsilon,
         potential,
         weighted_average: kernel.weighted_average(),
+        mutations: 0,
     }
 }
 
@@ -244,7 +250,7 @@ impl ConvergeConfig {
 }
 
 /// The one home of the "ε must be finite and ≥ 0" threshold rule, shared
-/// by [`ConvergeConfig::validate`] and the dynamic convergence driver.
+/// by [`ConvergeConfig::validate`] and the lane convergence driver.
 pub(crate) fn validate_epsilon(epsilon: f64) -> Result<(), CoreError> {
     if !epsilon.is_finite() || epsilon < 0.0 {
         return Err(CoreError::InvalidEpsilon { epsilon });

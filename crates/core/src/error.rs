@@ -35,7 +35,7 @@ pub enum CoreError {
         /// Index of the offending value.
         index: usize,
     },
-    /// A churn model failed to evolve the topology of a dynamic kernel
+    /// A churn model failed to evolve a churned batch topology
     /// (infeasible degree floor, invalid snapshot, exhausted retries).
     ChurnFailed(od_graph::GraphError),
     /// The ε-convergence threshold handed to a convergence driver must be
@@ -55,9 +55,19 @@ pub enum CoreError {
     DirectedUnsupported,
     /// A per-edge-weighted graph reached an engine tier with no weighted
     /// aggregation path (the lane tier's shared step schedule, the voter
-    /// kernels, the churn-driven dynamic kernels).
+    /// kernels).
     WeightedUnsupported {
         /// The tier or kernel family that cannot consume weights.
+        tier: &'static str,
+    },
+    /// The exact (tracked per-step) stopping rule follows one fixed
+    /// graph; a churned [`crate::Topology`] stops at epoch boundaries
+    /// ([`crate::StopRule::Block`]).
+    ExactStopUnderChurn,
+    /// The lane tier runs the NodeModel only: its EdgeModel kernel
+    /// benched below the exact tier and was removed.
+    EdgeModelUnsupported {
+        /// The tier that cannot run the EdgeModel.
         tier: &'static str,
     },
     /// A synchronous-rounds model parameter was out of its admissible
@@ -103,6 +113,13 @@ impl fmt::Display for CoreError {
             CoreError::WeightedUnsupported { tier } => {
                 write!(f, "the {tier} kernels do not support per-edge weights")
             }
+            CoreError::ExactStopUnderChurn => write!(
+                f,
+                "the exact stopping rule needs a static graph; churned runs stop at epoch boundaries"
+            ),
+            CoreError::EdgeModelUnsupported { tier } => {
+                write!(f, "the {tier} kernels do not run the EdgeModel")
+            }
             CoreError::InvalidSyncParameter { name, value } => {
                 write!(f, "sync model parameter {name} out of range: got {value}")
             }
@@ -143,5 +160,11 @@ mod tests {
         assert!(CoreError::WeightedUnsupported { tier: "lane" }
             .to_string()
             .contains("lane"));
+        assert!(CoreError::ExactStopUnderChurn
+            .to_string()
+            .contains("epoch boundaries"));
+        assert!(CoreError::EdgeModelUnsupported { tier: "lane" }
+            .to_string()
+            .contains("EdgeModel"));
     }
 }

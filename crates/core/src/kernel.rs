@@ -46,7 +46,7 @@ pub enum KernelSpec {
 impl KernelSpec {
     /// Validates the spec against a graph (connectivity is checked by the
     /// kernel constructors; this checks the spec-specific constraints).
-    /// The dynamic kernels re-run this after degree-changing churn.
+    /// The churned epoch hook re-runs this after degree-changing churn.
     pub(crate) fn validate(&self, graph: &Graph) -> Result<(), CoreError> {
         if let KernelSpec::Node(params) = self {
             let d_min = graph.min_degree();
@@ -648,7 +648,7 @@ pub(crate) struct BlockOutcome {
 
 /// How a convergence block detects the ε-threshold.
 pub(crate) enum BlockCheck<'a> {
-    /// Advance only; the caller checks later (the dynamic driver evaluates
+    /// Advance only; the caller checks later (the churned driver evaluates
     /// `φ` on the *post-churn* topology).
     None,
     /// One two-pass potential evaluation at the block boundary
@@ -818,9 +818,15 @@ pub(crate) fn run_replica_block_parallel(
 }
 
 /// Voter sibling of [`run_replica_block_parallel`]: advances the live
-/// prefix of a voter batch by one block with the O(1) consensus check,
-/// stopping each replica at its exact consensus step. Same thread-count
-/// independence argument (per-replica RNGs, disjoint rows).
+/// prefix of a voter batch by one block. With `stop_at_consensus` each
+/// replica stops at its exact consensus step (the O(1) discord check
+/// before every step — the static driver); without it every replica steps
+/// the **full** block and consensus (zero discord confirmed by an O(n)
+/// scan, since churn may disconnect the graph) is judged at its end — the
+/// churned driver, whose epoch-granular stopping must replay the identical
+/// RNG stream through consensus and through frozen zero-discord states
+/// churn may later thaw. Same thread-count independence argument
+/// (per-replica RNGs, disjoint rows).
 #[allow(clippy::too_many_arguments)] // shared leaf of the voter driver
 pub(crate) fn run_voter_block_parallel(
     graph: &Graph,
@@ -830,12 +836,20 @@ pub(crate) fn run_voter_block_parallel(
     rngs: &mut [StdRng],
     outcomes: &mut [BlockOutcome],
     block: u64,
+    stop_at_consensus: bool,
     threads: usize,
 ) {
     let live = outcomes.len();
     let run_one = |opinions: &mut [u32], discord: &mut u64, rng: &mut StdRng| {
-        let (steps, converged) =
-            run_voter_steps_tracked_until(graph, opinions, discord, block, rng);
+        let (steps, converged) = if stop_at_consensus {
+            run_voter_steps_tracked_until(graph, opinions, discord, block, rng)
+        } else {
+            run_voter_steps_tracked(graph, opinions, discord, block, rng);
+            (
+                block,
+                *discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
+            )
+        };
         BlockOutcome {
             steps,
             potential: *discord as f64,
@@ -877,70 +891,6 @@ pub(crate) fn run_voter_block_parallel(
             scope.spawn(move || {
                 for (i, outcome) in o.iter_mut().enumerate() {
                     *outcome = run_one(&mut ops[i * n..(i + 1) * n], &mut d[i], &mut r[i]);
-                }
-            });
-        }
-    });
-}
-
-/// Epoch sibling of [`run_voter_block_parallel`] for the dynamic voter
-/// driver: advances the first `live` replicas by the **full** block with
-/// the incremental discord count maintained, *without* the early
-/// consensus exit. The per-trial dynamic loop keeps drawing through
-/// consensus (voter steps are no-ops there) and through frozen
-/// zero-discord states churn may later thaw, and epoch-granular stopping
-/// must replay the identical RNG stream. Same thread-count independence
-/// argument as the block runner (per-replica RNGs, disjoint rows).
-#[allow(clippy::too_many_arguments)] // one driver entry point, mirrors run_voter_block_parallel
-pub(crate) fn run_voter_epoch_parallel(
-    graph: &Graph,
-    n: usize,
-    opinions: &mut [u32],
-    discords: &mut [u64],
-    rngs: &mut [StdRng],
-    live: usize,
-    block: u64,
-    threads: usize,
-) {
-    let workers = threads.clamp(1, live.max(1));
-    if workers <= 1 {
-        for slot in 0..live {
-            run_voter_steps_tracked(
-                graph,
-                &mut opinions[slot * n..(slot + 1) * n],
-                &mut discords[slot],
-                block,
-                &mut rngs[slot],
-            );
-        }
-        return;
-    }
-    let base = live / workers;
-    let extra = live % workers;
-    std::thread::scope(|scope| {
-        let mut opinions = &mut opinions[..live * n];
-        let mut discords = &mut discords[..live];
-        let mut rngs = &mut rngs[..live];
-        for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (ops, rest) = opinions.split_at_mut(cnt * n);
-            opinions = rest;
-            let (d, rest) = discords.split_at_mut(cnt);
-            discords = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            scope.spawn(move || {
-                for i in 0..cnt {
-                    run_voter_steps_tracked(
-                        graph,
-                        &mut ops[i * n..(i + 1) * n],
-                        &mut d[i],
-                        block,
-                        &mut r[i],
-                    );
                 }
             });
         }

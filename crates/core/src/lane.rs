@@ -1,7 +1,7 @@
 //! The **lane-major SIMD kernel tier** (`lane` cargo feature).
 //!
-//! The exact batched engines ([`crate::ReplicaBatch`],
-//! [`crate::DynamicReplicaBatch`]) store replicas **replica-major**
+//! The exact batched engine ([`crate::ReplicaBatch`]) stores replicas
+//! **replica-major**
 //! (`values[r*n + u]`) and advance them one after another, each from its
 //! own sequential `StdRng` — the layout and RNG that make bit-exact
 //! replay possible, and also the two scalar bottlenecks of the hot loop:
@@ -12,7 +12,7 @@
 //!
 //! * **Lane-major values** — `values[u*lanes + j]` puts the `R` replicas
 //!   of node `u` adjacent in memory, so one CSR row fetch feeds all `R`
-//!   lanes of the NodeModel mean / EdgeModel blend with contiguous loads,
+//!   lanes of the NodeModel mean with contiguous loads,
 //!   and the per-step update is a short dense loop over `lanes` that the
 //!   compiler turns into vector arithmetic (`unsafe_code` is forbidden
 //!   workspace-wide — all SIMD here is auto-vectorised safe Rust).
@@ -21,15 +21,27 @@
 //!   pure expression `mix64(key_j + ctr·γ)` with no loop-carried
 //!   dependency across lanes.
 //! * **Shared step schedule** — the *focus* of each step (the NodeModel's
-//!   node `u`, the EdgeModel's directed edge) is drawn once from a
-//!   dedicated schedule stream and shared by every lane; the per-lane
-//!   randomness (neighbour choices, lazy coins) stays independent.
+//!   node `u`) is drawn once from a dedicated schedule stream and shared
+//!   by every lane; the per-lane randomness (neighbour choices, lazy
+//!   coins) stays independent.
+//!
+//! The tier runs the NodeModel only. An EdgeModel lane kernel (shared
+//! tail, per-lane head) benched below the exact tier — its gather is two
+//! scattered rows per step, not one dense column — so it was removed and
+//! [`LaneReplicaBatch::new`] rejects edge specs with
+//! [`CoreError::EdgeModelUnsupported`].
+//!
+//! Like the exact batches, a lane batch steps over a [`Topology`]: a
+//! borrowed static graph, or a churned one whose epoch-boundary hook
+//! evolves the graph for all lanes at once (the same churn RNG and epoch
+//! cadence as the exact tier, so the topology sequence for a given churn
+//! seed is identical across tiers).
 //!
 //! # Fast, not bit-equal
 //!
 //! Sharing the schedule is what buys the speed-up, and it is exactly
 //! what the tier gives up: each lane's **marginal** law is the process
-//! law of Definition 2.1 / 2.3 — the shared focus is drawn uniformly,
+//! law of Definition 2.1 — the shared focus is drawn uniformly,
 //! and conditional on it every lane samples its own neighbours and coins
 //! independently, so (focus, neighbours) has the model's joint
 //! distribution lane by lane — but lanes are **correlated with each
@@ -44,7 +56,7 @@
 //! cell's replica dispersion matters). The
 //! statistical-equivalence suite (`tests/lane_equivalence.rs`) pins
 //! matched moments of stopping times and `F` estimates against the
-//! bit-exact path over the 5-graph × model matrix; the exact tier's
+//! bit-exact path over the 5-graph × NodeModel matrix; the exact tier's
 //! bit-identical gates are untouched by this module.
 //!
 //! Converged lanes are **frozen, not retired**: their report (stopping
@@ -55,15 +67,15 @@
 //! engine's compacted `Σ_r T_r` — the tier trades that for a much
 //! smaller constant per step.
 
-use crate::dynamic::churn_epoch;
+use crate::dynamic::Topology;
 use crate::engine::{validate_epsilon, ConvergenceReport};
 use crate::error::CoreError;
 use crate::kernel::{validate_values, KernelSpec};
-use crate::params::Laziness;
+use crate::params::{Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
-use od_graph::{ChurnModel, DynamicGraph, Graph, NodeId};
-use rand::rngs::{CounterRng, StdRng};
-use rand::{RngCore, SeedableRng};
+use od_graph::{Graph, NodeId};
+use rand::rngs::CounterRng;
+use rand::RngCore;
 
 /// Salt folded with the replica seeds into the shared schedule key, so
 /// the schedule stream never collides with a lane stream derived from
@@ -187,8 +199,8 @@ struct LaneScratch {
 }
 
 impl LaneScratch {
-    fn new(spec: KernelSpec, graph: &Graph, lanes: usize) -> LaneScratch {
-        let (sample, perm) = spec.scratch(graph);
+    fn new(params: NodeModelParams, graph: &Graph, lanes: usize) -> LaneScratch {
+        let (sample, perm) = KernelSpec::Node(params).scratch(graph);
         LaneScratch {
             raw: vec![0; lanes],
             coins: vec![0; lanes],
@@ -215,7 +227,7 @@ impl LaneScratch {
 #[allow(clippy::too_many_arguments)] // one hot loop, mirrors run_steps
 fn run_lane_steps(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     lanes: usize,
     values: &mut [f64],
     schedule: &mut CounterRng,
@@ -224,12 +236,12 @@ fn run_lane_steps(
     steps: u64,
 ) {
     match lanes {
-        2 => lane_steps_fixed::<2>(graph, spec, values, schedule, rngs, scratch, steps),
-        4 => lane_steps_fixed::<4>(graph, spec, values, schedule, rngs, scratch, steps),
-        8 => lane_steps_fixed::<8>(graph, spec, values, schedule, rngs, scratch, steps),
-        16 => lane_steps_fixed::<16>(graph, spec, values, schedule, rngs, scratch, steps),
-        32 => lane_steps_fixed::<32>(graph, spec, values, schedule, rngs, scratch, steps),
-        _ => lane_steps_dyn(graph, spec, lanes, values, schedule, rngs, scratch, steps),
+        2 => lane_steps_fixed::<2>(graph, params, values, schedule, rngs, scratch, steps),
+        4 => lane_steps_fixed::<4>(graph, params, values, schedule, rngs, scratch, steps),
+        8 => lane_steps_fixed::<8>(graph, params, values, schedule, rngs, scratch, steps),
+        16 => lane_steps_fixed::<16>(graph, params, values, schedule, rngs, scratch, steps),
+        32 => lane_steps_fixed::<32>(graph, params, values, schedule, rngs, scratch, steps),
+        _ => lane_steps_dyn(graph, params, lanes, values, schedule, rngs, scratch, steps),
     }
 }
 
@@ -244,130 +256,87 @@ fn run_lane_steps(
 #[allow(clippy::unwrap_used)]
 fn lane_steps_fixed<const L: usize>(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     values: &mut [f64],
     schedule: &mut CounterRng,
     rngs: &mut LaneRngs,
     scratch: &mut LaneScratch,
     steps: u64,
 ) {
-    match spec {
-        KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let u = mul_shift(schedule.next_u64(), n);
-                let row = graph.neighbors(u as NodeId);
-                let d = row.len();
-                let base = u * L;
-                let mut coins = [0u64; L];
-                if lazy {
-                    rngs.next_row(&mut coins);
-                }
-                if k == d {
-                    let mut acc = [0.0f64; L];
-                    for &v in row {
-                        let vrow: &[f64; L] = (&values[v as usize * L..v as usize * L + L])
-                            .try_into()
-                            .unwrap();
-                        for j in 0..L {
-                            acc[j] += vrow[j];
-                        }
-                    }
-                    let inv_d = 1.0 / d as f64;
-                    let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                    for j in 0..L {
-                        let old = target[j];
-                        let new = alpha * old + blend * (acc[j] * inv_d);
-                        target[j] = if lazy && coin_skip(coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else if k == 1 {
-                    let mut raw = [0u64; L];
-                    rngs.next_row(&mut raw);
-                    // Gather first into a register row so the L loads
-                    // issue independently, then blend in one pass.
-                    let mut picked = [0.0f64; L];
-                    for j in 0..L {
-                        let v = row[mul_shift(raw[j], d)] as usize;
-                        picked[j] = values[v * L + j];
-                    }
-                    let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                    for j in 0..L {
-                        let old = target[j];
-                        let new = alpha * old + blend * picked[j];
-                        target[j] = if lazy && coin_skip(coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else {
-                    // General k: exact sampler per lane on a substream
-                    // (identical to the dynamic-width loop — nothing to
-                    // vectorise across lanes here).
-                    for j in 0..L {
-                        if lazy && coin_skip(coins[j]) {
-                            continue;
-                        }
-                        let mut sub = rngs.step_substream(j);
-                        sample_k_neighbors(
-                            row,
-                            k,
-                            &mut scratch.sample,
-                            &mut scratch.perm,
-                            &mut sub,
-                        );
-                        let mean = scratch
-                            .sample
-                            .iter()
-                            .map(|&v| values[v as usize * L + j])
-                            .sum::<f64>()
-                            / scratch.sample.len() as f64;
-                        values[base + j] = alpha * values[base + j] + blend * mean;
-                    }
-                    rngs.advance();
-                }
-            }
+    let n = graph.n();
+    let alpha = params.alpha();
+    let blend = 1.0 - alpha;
+    let k = params.k();
+    let lazy = params.laziness() == Laziness::Lazy;
+    for _ in 0..steps {
+        let u = mul_shift(schedule.next_u64(), n);
+        let row = graph.neighbors(u as NodeId);
+        let d = row.len();
+        let base = u * L;
+        let mut coins = [0u64; L];
+        if lazy {
+            rngs.next_row(&mut coins);
         }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let edge = graph.directed_edge(mul_shift(schedule.next_u64(), two_m));
-                let row = graph.neighbors(edge.tail);
-                let d = row.len();
-                let base = edge.tail as usize * L;
-                let mut coins = [0u64; L];
-                if lazy {
-                    rngs.next_row(&mut coins);
-                }
-                let mut raw = [0u64; L];
-                rngs.next_row(&mut raw);
-                let mut picked = [0.0f64; L];
+        if k == d {
+            let mut acc = [0.0f64; L];
+            for &v in row {
+                let vrow: &[f64; L] = (&values[v as usize * L..v as usize * L + L])
+                    .try_into()
+                    .unwrap();
                 for j in 0..L {
-                    let head = row[mul_shift(raw[j], d)] as usize;
-                    picked[j] = values[head * L + j];
-                }
-                let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
-                for j in 0..L {
-                    let old = target[j];
-                    let new = alpha * old + blend * picked[j];
-                    target[j] = if lazy && coin_skip(coins[j]) {
-                        old
-                    } else {
-                        new
-                    };
+                    acc[j] += vrow[j];
                 }
             }
+            let inv_d = 1.0 / d as f64;
+            let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
+            for j in 0..L {
+                let old = target[j];
+                let new = alpha * old + blend * (acc[j] * inv_d);
+                target[j] = if lazy && coin_skip(coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else if k == 1 {
+            let mut raw = [0u64; L];
+            rngs.next_row(&mut raw);
+            // Gather first into a register row so the L loads
+            // issue independently, then blend in one pass.
+            let mut picked = [0.0f64; L];
+            for j in 0..L {
+                let v = row[mul_shift(raw[j], d)] as usize;
+                picked[j] = values[v * L + j];
+            }
+            let target: &mut [f64; L] = (&mut values[base..base + L]).try_into().unwrap();
+            for j in 0..L {
+                let old = target[j];
+                let new = alpha * old + blend * picked[j];
+                target[j] = if lazy && coin_skip(coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else {
+            // General k: exact sampler per lane on a substream
+            // (identical to the dynamic-width loop — nothing to
+            // vectorise across lanes here).
+            for j in 0..L {
+                if lazy && coin_skip(coins[j]) {
+                    continue;
+                }
+                let mut sub = rngs.step_substream(j);
+                sample_k_neighbors(row, k, &mut scratch.sample, &mut scratch.perm, &mut sub);
+                let mean = scratch
+                    .sample
+                    .iter()
+                    .map(|&v| values[v as usize * L + j])
+                    .sum::<f64>()
+                    / scratch.sample.len() as f64;
+                values[base + j] = alpha * values[base + j] + blend * mean;
+            }
+            rngs.advance();
         }
     }
 }
@@ -376,7 +345,7 @@ fn lane_steps_fixed<const L: usize>(
 #[allow(clippy::too_many_arguments)] // one hot loop, mirrors run_steps
 fn lane_steps_dyn(
     graph: &Graph,
-    spec: KernelSpec,
+    params: NodeModelParams,
     lanes: usize,
     values: &mut [f64],
     schedule: &mut CounterRng,
@@ -384,108 +353,68 @@ fn lane_steps_dyn(
     scratch: &mut LaneScratch,
     steps: u64,
 ) {
-    match spec {
-        KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                let u = mul_shift(schedule.next_u64(), n);
-                let row = graph.neighbors(u as NodeId);
-                let d = row.len();
-                let base = u * lanes;
-                if lazy {
-                    rngs.next_row(&mut scratch.coins);
-                }
-                if k == d {
-                    // Full-row mean: every neighbour contributes one
-                    // contiguous lane row — no per-lane randomness.
-                    scratch.acc.fill(0.0);
-                    for &v in row {
-                        let vrow = v as usize * lanes;
-                        for j in 0..lanes {
-                            scratch.acc[j] += values[vrow + j];
-                        }
-                    }
-                    let inv_d = 1.0 / d as f64;
-                    for j in 0..lanes {
-                        let old = values[base + j];
-                        let new = alpha * old + blend * (scratch.acc[j] * inv_d);
-                        values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else if k == 1 {
-                    rngs.next_row(&mut scratch.raw);
-                    for j in 0..lanes {
-                        let v = row[mul_shift(scratch.raw[j], d)] as usize;
-                        let old = values[base + j];
-                        let new = alpha * old + blend * values[v * lanes + j];
-                        values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                            old
-                        } else {
-                            new
-                        };
-                    }
-                } else {
-                    // General k: exact sampler per lane on a substream.
-                    for j in 0..lanes {
-                        if lazy && coin_skip(scratch.coins[j]) {
-                            continue;
-                        }
-                        let mut sub = rngs.step_substream(j);
-                        sample_k_neighbors(
-                            row,
-                            k,
-                            &mut scratch.sample,
-                            &mut scratch.perm,
-                            &mut sub,
-                        );
-                        let mean = scratch
-                            .sample
-                            .iter()
-                            .map(|&v| values[v as usize * lanes + j])
-                            .sum::<f64>()
-                            / scratch.sample.len() as f64;
-                        values[base + j] = alpha * values[base + j] + blend * mean;
-                    }
-                    rngs.advance();
-                }
-            }
+    let n = graph.n();
+    let alpha = params.alpha();
+    let blend = 1.0 - alpha;
+    let k = params.k();
+    let lazy = params.laziness() == Laziness::Lazy;
+    for _ in 0..steps {
+        let u = mul_shift(schedule.next_u64(), n);
+        let row = graph.neighbors(u as NodeId);
+        let d = row.len();
+        let base = u * lanes;
+        if lazy {
+            rngs.next_row(&mut scratch.coins);
         }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let alpha = params.alpha();
-            let blend = 1.0 - alpha;
-            let lazy = params.laziness() == Laziness::Lazy;
-            for _ in 0..steps {
-                // Shared tail, per-lane head: tail is the uniform
-                // directed edge's tail (marginal d_tail/2m), the head is
-                // uniform among its neighbours — jointly a uniform
-                // directed edge, lane by lane.
-                let edge = graph.directed_edge(mul_shift(schedule.next_u64(), two_m));
-                let row = graph.neighbors(edge.tail);
-                let d = row.len();
-                let base = edge.tail as usize * lanes;
-                if lazy {
-                    rngs.next_row(&mut scratch.coins);
-                }
-                rngs.next_row(&mut scratch.raw);
+        if k == d {
+            // Full-row mean: every neighbour contributes one
+            // contiguous lane row — no per-lane randomness.
+            scratch.acc.fill(0.0);
+            for &v in row {
+                let vrow = v as usize * lanes;
                 for j in 0..lanes {
-                    let head = row[mul_shift(scratch.raw[j], d)] as usize;
-                    let old = values[base + j];
-                    let new = alpha * old + blend * values[head * lanes + j];
-                    values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
-                        old
-                    } else {
-                        new
-                    };
+                    scratch.acc[j] += values[vrow + j];
                 }
             }
+            let inv_d = 1.0 / d as f64;
+            for j in 0..lanes {
+                let old = values[base + j];
+                let new = alpha * old + blend * (scratch.acc[j] * inv_d);
+                values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else if k == 1 {
+            rngs.next_row(&mut scratch.raw);
+            for j in 0..lanes {
+                let v = row[mul_shift(scratch.raw[j], d)] as usize;
+                let old = values[base + j];
+                let new = alpha * old + blend * values[v * lanes + j];
+                values[base + j] = if lazy && coin_skip(scratch.coins[j]) {
+                    old
+                } else {
+                    new
+                };
+            }
+        } else {
+            // General k: exact sampler per lane on a substream.
+            for j in 0..lanes {
+                if lazy && coin_skip(scratch.coins[j]) {
+                    continue;
+                }
+                let mut sub = rngs.step_substream(j);
+                sample_k_neighbors(row, k, &mut scratch.sample, &mut scratch.perm, &mut sub);
+                let mean = scratch
+                    .sample
+                    .iter()
+                    .map(|&v| values[v as usize * lanes + j])
+                    .sum::<f64>()
+                    / scratch.sample.len() as f64;
+                values[base + j] = alpha * values[base + j] + blend * mean;
+            }
+            rngs.advance();
         }
     }
 }
@@ -530,21 +459,20 @@ fn schedule_stream(seeds: &[u64]) -> CounterRng {
     )
 }
 
-/// [`crate::ReplicaBatch`]'s lane-major sibling: `R` replicas of one
-/// averaging process advanced in lockstep under a shared step schedule.
-/// See the module docs for the layout, the RNG and the statistical
-/// contract.
+/// [`crate::ReplicaBatch`]'s lane-major sibling: `R` replicas of the
+/// NodeModel advanced in lockstep under a shared step schedule. See the
+/// module docs for the layout, the RNG and the statistical contract.
 ///
 /// # Example
 ///
 /// ```
-/// use od_core::{EdgeModelParams, KernelSpec, LaneReplicaBatch};
+/// use od_core::{KernelSpec, LaneReplicaBatch, NodeModelParams};
 /// use od_graph::generators;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let g = generators::complete(16)?;
 /// let xi0: Vec<f64> = (0..16).map(f64::from).collect();
-/// let spec = KernelSpec::Edge(EdgeModelParams::new(0.5)?);
+/// let spec = KernelSpec::Node(NodeModelParams::new(0.5, 1)?);
 /// let mut batch = LaneReplicaBatch::new(&g, spec, &xi0, &[1, 2, 3, 4])?;
 /// batch.step_many(10_000);
 /// let fs: Vec<f64> = (0..batch.lanes()).map(|r| batch.replica_average(r)).collect();
@@ -554,8 +482,8 @@ fn schedule_stream(seeds: &[u64]) -> CounterRng {
 /// ```
 #[derive(Debug, Clone)]
 pub struct LaneReplicaBatch<'g> {
-    graph: &'g Graph,
-    spec: KernelSpec,
+    topology: Topology<'g>,
+    params: NodeModelParams,
     n: usize,
     lanes: usize,
     /// Lane-major `n × lanes` storage: node `u`, lane `j` at
@@ -568,12 +496,14 @@ pub struct LaneReplicaBatch<'g> {
 }
 
 impl<'g> LaneReplicaBatch<'g> {
-    /// Creates `seeds.len()` lanes of the scenario, all starting from
-    /// `xi0`, lane `j` drawing its private randomness from `seeds[j]`.
+    /// Creates `seeds.len()` lanes of the scenario on a static graph, all
+    /// starting from `xi0`, lane `j` drawing its private randomness from
+    /// `seeds[j]`.
     ///
     /// # Errors
     ///
     /// The same as [`crate::StepKernel::new`], plus
+    /// [`CoreError::EdgeModelUnsupported`] for EdgeModel specs and
     /// [`CoreError::WeightedUnsupported`] for weighted graphs: the lane
     /// tier's shared step schedule has no weighted aggregation path, so
     /// the scenario dispatcher falls weighted specs back to the exact
@@ -584,6 +514,25 @@ impl<'g> LaneReplicaBatch<'g> {
         xi0: &[f64],
         seeds: &[u64],
     ) -> Result<Self, CoreError> {
+        LaneReplicaBatch::with_topology(Topology::from(graph), spec, xi0, seeds)
+    }
+
+    /// [`LaneReplicaBatch::new`] on any [`Topology`]; validation runs on
+    /// its current committed CSR.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`LaneReplicaBatch::new`].
+    pub fn with_topology(
+        topology: Topology<'g>,
+        spec: KernelSpec,
+        xi0: &[f64],
+        seeds: &[u64],
+    ) -> Result<Self, CoreError> {
+        let KernelSpec::Node(params) = spec else {
+            return Err(CoreError::EdgeModelUnsupported { tier: "lane" });
+        };
+        let graph = topology.graph();
         if graph.is_weighted() {
             return Err(CoreError::WeightedUnsupported { tier: "lane" });
         }
@@ -596,26 +545,31 @@ impl<'g> LaneReplicaBatch<'g> {
             values[u * lanes..(u + 1) * lanes].fill(x);
         }
         Ok(LaneReplicaBatch {
-            graph,
-            spec,
+            params,
             n,
             lanes,
             values,
             schedule: schedule_stream(seeds),
             rngs: LaneRngs::new(seeds),
-            scratch: LaneScratch::new(spec, graph, lanes),
+            scratch: LaneScratch::new(params, graph, lanes),
             time: 0,
+            topology,
         })
     }
 
-    /// The underlying graph (shared by every lane).
+    /// The committed CSR currently shared by every lane.
     pub fn graph(&self) -> &Graph {
-        self.graph
+        self.topology.graph()
+    }
+
+    /// The topology the lanes step over.
+    pub fn topology(&self) -> &Topology<'g> {
+        &self.topology
     }
 
     /// The model spec.
     pub fn spec(&self) -> KernelSpec {
-        self.spec
+        KernelSpec::Node(self.params)
     }
 
     /// Number of lanes (replicas) `R`.
@@ -650,11 +604,12 @@ impl<'g> LaneReplicaBatch<'g> {
             .collect()
     }
 
-    /// Advances every lane by `steps` shared-schedule steps.
+    /// Advances every lane by `steps` shared-schedule steps on the
+    /// current topology.
     pub fn step_many(&mut self, steps: u64) {
         run_lane_steps(
-            self.graph,
-            self.spec,
+            self.topology.graph(),
+            self.params,
             self.lanes,
             &mut self.values,
             &mut self.schedule,
@@ -665,6 +620,18 @@ impl<'g> LaneReplicaBatch<'g> {
         self.time += steps;
     }
 
+    /// One epoch: [`LaneReplicaBatch::step_many`], then the topology's
+    /// epoch-boundary hook, shared by every lane. Returns the number of
+    /// elementary mutations this epoch.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`crate::ReplicaBatch::step_epoch`].
+    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
+        self.step_many(steps);
+        self.topology.end_epoch(Some(self.spec()))
+    }
+
     /// Drives every lane to ε-convergence (`φ ≤ ε`, checked every
     /// `check_every` steps; 0 = one check per `n` steps) or to
     /// `max_steps`, returning one report per lane in lane order.
@@ -673,11 +640,14 @@ impl<'g> LaneReplicaBatch<'g> {
     /// tracked per-step rule), with the π potential. Converged lanes are
     /// frozen, not retired: the report captures the first boundary at
     /// which the lane crossed ε, but its values keep evolving with the
-    /// row (see the module docs).
+    /// row (see the module docs). On a churned topology every block is
+    /// one epoch and `φ` is evaluated on the post-churn topology, the
+    /// rule of [`crate::ReplicaBatch::run_until_converged`].
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidEpsilon`] for a negative or non-finite ε.
+    /// [`CoreError::InvalidEpsilon`] for a negative or non-finite ε;
+    /// otherwise the [`LaneReplicaBatch::step_epoch`] errors.
     pub fn run_until_converged(
         &mut self,
         epsilon: f64,
@@ -701,7 +671,7 @@ impl<'g> LaneReplicaBatch<'g> {
         let mut live = lanes;
         let mut t_call = 0u64;
         loop {
-            lane_potential_pi(self.graph, lanes, &self.values, &mut mu, &mut phi);
+            lane_potential_pi(self.graph(), lanes, &self.values, &mut mu, &mut phi);
             for j in 0..lanes {
                 if frozen[j] {
                     continue;
@@ -712,6 +682,7 @@ impl<'g> LaneReplicaBatch<'g> {
                     converged,
                     potential: phi[j],
                     weighted_average: mu[j],
+                    mutations: self.topology.mutations(),
                 };
                 if converged {
                     frozen[j] = true;
@@ -722,245 +693,8 @@ impl<'g> LaneReplicaBatch<'g> {
                 break;
             }
             let block = check_every.min(max_steps - t_call);
-            self.step_many(block);
+            self.step_epoch(block)?;
             t_call += block;
-        }
-        Ok(reports)
-    }
-
-    /// `Avg(t)` of lane `r`. O(n).
-    pub fn replica_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / self.n as f64
-    }
-
-    /// `M(t) = Σ π_u ξ_u(t)` of lane `r`. O(n).
-    pub fn replica_weighted_average(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let two_m = self.graph.directed_edge_count() as f64;
-        (0..self.n)
-            .map(|u| self.graph.degree(u as NodeId) as f64 * self.values[u * self.lanes + r])
-            .sum::<f64>()
-            / two_m
-    }
-
-    /// The potential `φ(ξ(t))` (Eq. 3) of lane `r`. O(n).
-    pub fn replica_potential_pi(&self, r: usize) -> f64 {
-        assert!(r < self.lanes, "lane {r} out of range");
-        let mu = self.replica_weighted_average(r);
-        let two_m = self.graph.directed_edge_count() as f64;
-        (0..self.n)
-            .map(|u| {
-                let c = self.values[u * self.lanes + r] - mu;
-                self.graph.degree(u as NodeId) as f64 / two_m * c * c
-            })
-            .sum::<f64>()
-            .max(0.0)
-    }
-}
-
-/// [`crate::DynamicReplicaBatch`]'s lane-major sibling: the lane kernels
-/// over an evolving topology, all lanes sharing one churn trajectory
-/// (the same dedicated churn RNG and epoch cadence as the exact dynamic
-/// engines, so the topology sequence for a given `churn_seed` is
-/// identical across tiers).
-#[derive(Debug, Clone)]
-pub struct DynamicLaneReplicaBatch {
-    graph: DynamicGraph,
-    spec: KernelSpec,
-    churn: ChurnModel,
-    churn_rng: StdRng,
-    n: usize,
-    lanes: usize,
-    values: Vec<f64>,
-    schedule: CounterRng,
-    rngs: LaneRngs,
-    scratch: LaneScratch,
-    time: u64,
-    epoch: u64,
-    mutations: u64,
-}
-
-impl DynamicLaneReplicaBatch {
-    /// Creates `seeds.len()` lanes on a shared evolving topology.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`crate::DynamicReplicaBatch::new`].
-    pub fn new(
-        mut graph: DynamicGraph,
-        spec: KernelSpec,
-        xi0: &[f64],
-        seeds: &[u64],
-        churn: ChurnModel,
-        churn_seed: u64,
-    ) -> Result<Self, CoreError> {
-        graph.commit();
-        validate_values(graph.graph(), xi0)?;
-        spec.validate(graph.graph())?;
-        let n = xi0.len();
-        let lanes = seeds.len();
-        let mut values = vec![0.0; n * lanes];
-        for (u, &x) in xi0.iter().enumerate() {
-            values[u * lanes..(u + 1) * lanes].fill(x);
-        }
-        let scratch = LaneScratch::new(spec, graph.graph(), lanes);
-        Ok(DynamicLaneReplicaBatch {
-            graph,
-            spec,
-            churn,
-            churn_rng: StdRng::seed_from_u64(churn_seed),
-            n,
-            lanes,
-            values,
-            schedule: schedule_stream(seeds),
-            rngs: LaneRngs::new(seeds),
-            scratch,
-            time: 0,
-            epoch: 0,
-            mutations: 0,
-        })
-    }
-
-    /// The committed CSR shared by every lane.
-    pub fn graph(&self) -> &Graph {
-        self.graph.graph()
-    }
-
-    /// The underlying dynamic graph.
-    pub fn dynamic_graph(&self) -> &DynamicGraph {
-        &self.graph
-    }
-
-    /// The model spec.
-    pub fn spec(&self) -> KernelSpec {
-        self.spec
-    }
-
-    /// Number of lanes (replicas) `R`.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Nodes per lane.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Shared steps taken so far.
-    pub fn time(&self) -> u64 {
-        self.time
-    }
-
-    /// Epoch boundaries crossed so far.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Total elementary topology mutations applied so far.
-    pub fn mutations(&self) -> u64 {
-        self.mutations
-    }
-
-    /// Lane `r`'s value vector, gathered out of the lane-major storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r >= lanes()`.
-    pub fn replica_values(&self, r: usize) -> Vec<f64> {
-        assert!(r < self.lanes, "lane {r} out of range");
-        (0..self.n)
-            .map(|u| self.values[u * self.lanes + r])
-            .collect()
-    }
-
-    /// Advances every lane by `steps` steps on the frozen topology, then
-    /// applies **one** churn epoch shared by all lanes. Returns the
-    /// number of elementary mutations this epoch.
-    ///
-    /// # Errors
-    ///
-    /// See [`crate::DynamicStepKernel::step_epoch`].
-    pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
-        run_lane_steps(
-            self.graph.graph(),
-            self.spec,
-            self.lanes,
-            &mut self.values,
-            &mut self.schedule,
-            &mut self.rngs,
-            &mut self.scratch,
-            steps,
-        );
-        self.time += steps;
-        let applied = churn_epoch(
-            &mut self.graph,
-            &self.churn,
-            &mut self.churn_rng,
-            self.epoch,
-            Some(self.spec),
-        )?;
-        self.epoch += 1;
-        self.mutations += applied;
-        Ok(applied)
-    }
-
-    /// Drives every lane to ε-convergence or to `max_epochs` epochs of
-    /// `steps_per_epoch` steps, churning the shared topology at every
-    /// epoch boundary; `φ` is evaluated on the **post-churn** topology,
-    /// the same epoch-boundary rule as
-    /// [`crate::DynamicReplicaBatch::run_until_converged`]. Converged
-    /// lanes freeze their report and keep stepping (see the module docs).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidEpsilon`] for a bad threshold; otherwise the
-    /// same errors as [`DynamicLaneReplicaBatch::step_epoch`].
-    pub fn run_until_converged(
-        &mut self,
-        steps_per_epoch: u64,
-        max_epochs: u64,
-        epsilon: f64,
-    ) -> Result<Vec<ConvergenceReport>, CoreError> {
-        validate_epsilon(epsilon)?;
-        let lanes = self.lanes;
-        let mut reports = vec![ConvergenceReport::default(); lanes];
-        if lanes == 0 {
-            return Ok(reports);
-        }
-        let mut mu = vec![0.0; lanes];
-        let mut phi = vec![0.0; lanes];
-        let mut frozen = vec![false; lanes];
-        let mut live = lanes;
-        let mut t_call = 0u64;
-        let mut epochs = 0u64;
-        loop {
-            lane_potential_pi(self.graph.graph(), lanes, &self.values, &mut mu, &mut phi);
-            for j in 0..lanes {
-                if frozen[j] {
-                    continue;
-                }
-                let converged = phi[j] <= epsilon;
-                reports[j] = ConvergenceReport {
-                    steps: t_call,
-                    converged,
-                    potential: phi[j],
-                    weighted_average: mu[j],
-                };
-                if converged {
-                    frozen[j] = true;
-                    live -= 1;
-                }
-            }
-            if live == 0 || epochs == max_epochs {
-                break;
-            }
-            self.step_epoch(steps_per_epoch)?;
-            t_call += steps_per_epoch;
-            epochs += 1;
         }
         Ok(reports)
     }
@@ -977,7 +711,7 @@ impl DynamicLaneReplicaBatch {
     /// `M(t) = Σ π_u ξ_u(t)` of lane `r` on the current topology. O(n).
     pub fn replica_weighted_average(&self, r: usize) -> f64 {
         assert!(r < self.lanes, "lane {r} out of range");
-        let graph = self.graph.graph();
+        let graph = self.graph();
         let two_m = graph.directed_edge_count() as f64;
         (0..self.n)
             .map(|u| graph.degree(u as NodeId) as f64 * self.values[u * self.lanes + r])
@@ -989,22 +723,31 @@ impl DynamicLaneReplicaBatch {
     /// topology. O(n).
     pub fn replica_potential_pi(&self, r: usize) -> f64 {
         assert!(r < self.lanes, "lane {r} out of range");
-        let lanes = self.lanes;
-        let mut mu = vec![0.0; lanes];
-        let mut phi = vec![0.0; lanes];
-        lane_potential_pi(self.graph.graph(), lanes, &self.values, &mut mu, &mut phi);
-        phi[r]
+        let mu = self.replica_weighted_average(r);
+        let graph = self.graph();
+        let two_m = graph.directed_edge_count() as f64;
+        (0..self.n)
+            .map(|u| {
+                let c = self.values[u * self.lanes + r] - mu;
+                graph.degree(u as NodeId) as f64 / two_m * c * c
+            })
+            .sum::<f64>()
+            .max(0.0)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{EdgeModelParams, NodeModelParams};
-    use od_graph::generators;
+    use crate::params::EdgeModelParams;
+    use od_graph::{generators, ChurnModel, DynamicGraph};
 
     fn node_spec(alpha: f64, k: usize) -> KernelSpec {
         KernelSpec::Node(NodeModelParams::new(alpha, k).unwrap())
+    }
+
+    fn churned(g: Graph, churn: ChurnModel, churn_seed: u64) -> Topology<'static> {
+        Topology::churned(DynamicGraph::new(g), churn, churn_seed)
     }
 
     #[test]
@@ -1049,16 +792,13 @@ mod tests {
         let lanes = 8usize;
         let seeds: Vec<u64> = (100..100 + lanes as u64).collect();
         let xi0: Vec<f64> = (0..n).map(|u| (u as f64).sin()).collect();
-        for spec in [
-            node_spec(0.5, 1),
-            node_spec(0.5, 4), // k = d on the torus: full-row arm
-            node_spec(0.3, 2), // general-k substream arm
-            KernelSpec::Node(
-                NodeModelParams::new(0.5, 1)
-                    .unwrap()
-                    .with_laziness(Laziness::Lazy),
-            ),
-            KernelSpec::Edge(EdgeModelParams::new(0.4).unwrap()),
+        for params in [
+            NodeModelParams::new(0.5, 1).unwrap(),
+            NodeModelParams::new(0.5, 4).unwrap(), // k = d on the torus: full-row arm
+            NodeModelParams::new(0.3, 2).unwrap(), // general-k substream arm
+            NodeModelParams::new(0.5, 1)
+                .unwrap()
+                .with_laziness(Laziness::Lazy),
         ] {
             let mut fixed = vec![0.0; n * lanes];
             for u in 0..n {
@@ -1069,11 +809,11 @@ mod tests {
             let mut sched_d = schedule_stream(&seeds);
             let mut rngs_f = LaneRngs::new(&seeds);
             let mut rngs_d = LaneRngs::new(&seeds);
-            let mut scratch_f = LaneScratch::new(spec, &g, lanes);
-            let mut scratch_d = LaneScratch::new(spec, &g, lanes);
+            let mut scratch_f = LaneScratch::new(params, &g, lanes);
+            let mut scratch_d = LaneScratch::new(params, &g, lanes);
             run_lane_steps(
                 &g,
-                spec,
+                params,
                 lanes,
                 &mut fixed,
                 &mut sched_f,
@@ -1083,7 +823,7 @@ mod tests {
             );
             lane_steps_dyn(
                 &g,
-                spec,
+                params,
                 lanes,
                 &mut dynamic,
                 &mut sched_d,
@@ -1091,25 +831,19 @@ mod tests {
                 &mut scratch_d,
                 5_000,
             );
-            assert_eq!(fixed, dynamic, "{spec:?}: paths diverged");
+            assert_eq!(fixed, dynamic, "{params:?}: paths diverged");
         }
     }
 
     #[test]
     fn lanes_preserve_the_conserved_mean() {
-        // The EdgeModel with alpha = 1/2 conserves the sum over each
-        // update in expectation; more sharply, every tier must keep all
-        // values inside the initial hull and drive phi down.
+        // Every lane must keep all values inside the initial hull and
+        // drive phi down.
         let g = generators::torus(8, 8).unwrap();
         let xi0: Vec<f64> = (0..64)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        for spec in [
-            node_spec(0.5, 1),
-            node_spec(0.5, 4),
-            node_spec(0.3, 2),
-            KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap()),
-        ] {
+        for spec in [node_spec(0.5, 1), node_spec(0.5, 4), node_spec(0.3, 2)] {
             let mut batch = LaneReplicaBatch::new(&g, spec, &xi0, &[1, 2, 3, 4, 5]).unwrap();
             let phi0: Vec<f64> = (0..5).map(|r| batch.replica_potential_pi(r)).collect();
             batch.step_many(20_000);
@@ -1182,21 +916,15 @@ mod tests {
     fn dynamic_lanes_step_and_churn_together() {
         let g = generators::torus(6, 6).unwrap();
         let xi0: Vec<f64> = (0..36).map(|i| (i % 5) as f64).collect();
-        let mut batch = DynamicLaneReplicaBatch::new(
-            DynamicGraph::new(g),
-            node_spec(0.5, 1),
-            &xi0,
-            &[3, 4, 5],
-            ChurnModel::edge_swap(2),
-            11,
-        )
-        .unwrap();
+        let topology = churned(g, ChurnModel::edge_swap(2), 11);
+        let mut batch =
+            LaneReplicaBatch::with_topology(topology, node_spec(0.5, 1), &xi0, &[3, 4, 5]).unwrap();
         for _ in 0..20 {
             batch.step_epoch(36).unwrap();
         }
         assert_eq!(batch.time(), 20 * 36);
-        assert_eq!(batch.epoch(), 20);
-        assert!(batch.mutations() > 0);
+        assert_eq!(batch.topology().epoch(), 20);
+        assert!(batch.topology().mutations() > 0);
         batch.graph().check_invariants().unwrap();
         for r in 0..3 {
             let vals = batch.replica_values(r);
@@ -1208,16 +936,11 @@ mod tests {
     fn dynamic_lane_converge_mirrors_epoch_rule() {
         let g = generators::complete(12).unwrap();
         let xi0: Vec<f64> = (0..12).map(f64::from).collect();
-        let mut batch = DynamicLaneReplicaBatch::new(
-            DynamicGraph::new(g),
-            node_spec(0.5, 2),
-            &xi0,
-            &[1, 2, 3, 4],
-            ChurnModel::rewire(1, 2),
-            7,
-        )
-        .unwrap();
-        let reports = batch.run_until_converged(48, 100_000, 1e-8).unwrap();
+        let topology = churned(g, ChurnModel::rewire(1, 2), 7);
+        let mut batch =
+            LaneReplicaBatch::with_topology(topology, node_spec(0.5, 2), &xi0, &[1, 2, 3, 4])
+                .unwrap();
+        let reports = batch.run_until_converged(1e-8, 48 * 100_000, 48).unwrap();
         for report in &reports {
             assert!(report.converged);
             assert_eq!(report.steps % 48, 0, "epoch-granular stopping");
@@ -1245,6 +968,12 @@ mod tests {
         assert!(matches!(
             LaneReplicaBatch::new(&path, node_spec(0.5, 1), &bad, &[1]),
             Err(CoreError::NonFiniteValue { index: 3 })
+        ));
+        // The EdgeModel has no lane kernel.
+        let edge = KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap());
+        assert!(matches!(
+            LaneReplicaBatch::new(&path, edge, &xi0, &[1]),
+            Err(CoreError::EdgeModelUnsupported { tier: "lane" })
         ));
         // Zero lanes is valid and degenerate.
         let mut empty = LaneReplicaBatch::new(&path, node_spec(0.5, 1), &xi0, &[]).unwrap();

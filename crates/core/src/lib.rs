@@ -66,10 +66,7 @@ mod voter;
 mod window;
 
 pub use batch::{ReplicaBatch, VoterBatch};
-pub use dynamic::{
-    DynamicReplicaBatch, DynamicStepKernel, DynamicVoterBatch, DynamicVoterKernel,
-    DynamicVoterReport,
-};
+pub use dynamic::Topology;
 pub use edge_model::EdgeModel;
 pub use engine::{
     estimate_convergence_value, run_kernel_until_converged, run_until_converged, trace_potential,
@@ -78,9 +75,7 @@ pub use engine::{
 pub use error::CoreError;
 pub use kernel::{KernelSpec, StepKernel, VoterKernel};
 #[cfg(feature = "lane")]
-pub use lane::{
-    to_lane_major, to_replica_major, DynamicLaneReplicaBatch, LaneReplicaBatch, LaneRngs,
-};
+pub use lane::{to_lane_major, to_replica_major, LaneReplicaBatch, LaneRngs};
 pub use node_model::NodeModel;
 pub use params::{EdgeModelParams, Laziness, NodeModelParams};
 pub use process::{OpinionProcess, StepRecord};

@@ -22,13 +22,17 @@ pub struct VoterModel<'g> {
 }
 
 /// Outcome of a voter-model run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct VoterReport {
     /// Steps taken **by this run** until consensus (or the per-call step
     /// budget if not reached).
     pub steps: u64,
     /// The winning opinion if consensus was reached.
     pub winner: Option<u32>,
+    /// Elementary topology mutations a churned batch topology
+    /// ([`crate::Topology`]) had applied when this replica stopped; 0 on
+    /// a static graph.
+    pub mutations: u64,
 }
 
 impl<'g> VoterModel<'g> {
@@ -134,6 +138,7 @@ impl<'g> VoterModel<'g> {
         VoterReport {
             steps: taken,
             winner: self.consensus_opinion(),
+            mutations: 0,
         }
     }
 }

@@ -210,6 +210,7 @@ impl<'g> ConvergeWindow<'g> {
                 converged: outcome.converged,
                 potential: outcome.potential,
                 weighted_average: outcome.weighted_average,
+                mutations: 0,
             };
             // Budget-exhausted trials retire alongside converged ones so
             // their slot can be re-filled; the report above has already
@@ -580,6 +581,7 @@ impl WindowCheckpoint {
                             converged: u64_field(words[3])? != 0,
                             potential: bits_field(words[4])?,
                             weighted_average: bits_field(words[5])?,
+                            mutations: 0,
                         },
                     ));
                 }

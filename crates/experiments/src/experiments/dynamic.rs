@@ -12,11 +12,12 @@
 //! batched engine bit for bit (gated by `tests/batch_equivalence.rs`).
 //!
 //! Each sweep cell is one declarative scenario: the Scenario API
-//! dispatches it to `DynamicReplicaBatch::run_until_converged` (the
-//! epoch-boundary stopping rule, early retirement, SoA compaction) over
-//! seed chunks. The churn seed is fixed per cell (not per chunk), so
-//! every replica sees the same topology trajectory and per-trial results
-//! are independent of batch size and thread schedule, exactly like the
+//! dispatches it to `ReplicaBatch::run_until_converged` on a churned
+//! `Topology` (the epoch-boundary stopping rule, early retirement, SoA
+//! compaction) over seed chunks. The churn seed is fixed per cell (not
+//! per chunk), so every replica sees the same topology trajectory and
+//! per-trial results — each trial's mutation count included — are
+//! independent of batch size and thread schedule, exactly like the
 //! static sweeps.
 
 use crate::ExperimentContext;
@@ -153,12 +154,13 @@ mod tests {
     use od_stats::SeedSequence;
 
     /// The schedule-independence contract the sweep relies on: per-trial
-    /// convergence times are identical whether trials run one per batch
-    /// or many per batch, because the churn stream is a function of the
-    /// cell's churn seed alone.
+    /// rows (convergence times, potentials, estimates and the mutation
+    /// count at each trial's own retirement) are identical whether trials
+    /// run one per batch or many per batch, because the churn stream is a
+    /// function of the cell's churn seed alone.
     #[test]
     fn dynamic_sweep_results_independent_of_batch_size() {
-        let run = |batch_size: usize| -> Vec<u64> {
+        let run = |batch_size: usize| {
             let mut spec = cell_scenario(4, 2, 16, 400, 10, SeedSequence::new(5).master(), 99);
             spec.batch = batch_size;
             spec.stop = StopSpec::Converge {
@@ -167,18 +169,13 @@ mod tests {
                 potential: PotentialSpec::Pi,
                 budget: 400 * 16,
             };
-            let report = Simulation::from_spec(&spec).unwrap().run().unwrap();
-            report
-                .trials
-                .iter()
-                .map(|t| if t.converged { t.steps } else { u64::MAX })
-                .collect()
+            Simulation::from_spec(&spec).unwrap().run().unwrap().trials
         };
         let one = run(1);
         let four = run(4);
         let ten = run(10);
         assert_eq!(one, four);
         assert_eq!(one, ten);
-        assert!(one.iter().all(|&s| s != u64::MAX), "trials must converge");
+        assert!(one.iter().all(|t| t.converged), "trials must converge");
     }
 }

@@ -609,7 +609,7 @@ impl ChurnModel {
     }
 
     /// Whether this model can never mutate the graph (churn rate 0): the
-    /// dynamic kernels then skip post-churn revalidation entirely.
+    /// churned-topology epoch hook then skips post-churn revalidation entirely.
     pub fn is_static(&self) -> bool {
         match self {
             ChurnModel::Static => true,

@@ -15,15 +15,15 @@
 //! exercised cells so silent shrinkage of the suite fails loudly.
 //!
 //! A second matrix gates the dynamic-graph engine at churn rate 0: a
-//! `DynamicGraph`-backed kernel stepping in epochs must be bit-identical
-//! to the static kernels on every cell, for both rate-0 spellings
-//! (`ChurnModel::Static` and `edge_swap(0)`).
+//! batch on a churned `Topology` (a `DynamicGraph` stepping in epochs)
+//! must be bit-identical to the static kernels on every cell, for both
+//! rate-0 spellings (`ChurnModel::Static` and `edge_swap(0)`).
 
 use opinion_dynamics::core::{
     run_converge_streaming, run_kernel_until_converged, run_until_converged, ConvergeConfig,
-    DynamicReplicaBatch, DynamicStepKernel, DynamicVoterKernel, EdgeModel, EdgeModelParams,
-    KernelSpec, NodeModel, NodeModelParams, OpinionProcess, PotentialKind, ReplicaBatch,
-    StepKernel, StopRule, VoterBatch, VoterKernel, VoterModel,
+    EdgeModel, EdgeModelParams, KernelSpec, NodeModel, NodeModelParams, OpinionProcess,
+    PotentialKind, ReplicaBatch, StepKernel, StopRule, Topology, VoterBatch, VoterKernel,
+    VoterModel,
 };
 use opinion_dynamics::graph::{generators, ChurnModel, DynamicGraph, Graph};
 use opinion_dynamics::sim::{
@@ -215,10 +215,17 @@ fn rate0_churns() -> [(&'static str, ChurnModel); 2] {
     ]
 }
 
+/// A `DynamicGraph`-backed topology under `churn`; the churn seed must be
+/// irrelevant at rate 0.
+fn rate0_topology(g: &Graph, churn: ChurnModel) -> Topology<'static> {
+    Topology::churned(DynamicGraph::new(g.clone()), churn, 0xC0FFEE)
+}
+
 /// Churn-rate-0 gate over the full averaging matrix: a
-/// `DynamicGraph`-backed kernel (and replica batch) partitioned into
-/// epochs must be bit-identical to the static `StepKernel`/`ReplicaBatch`
-/// at every checkpoint, for both rate-0 churn spellings.
+/// `DynamicGraph`-backed replica batch (one replica, and all of them)
+/// partitioned into epochs must be bit-identical to the static
+/// `StepKernel`/`ReplicaBatch` at every checkpoint, for both rate-0 churn
+/// spellings.
 #[test]
 fn dynamic_rate0_matrix_equals_static() {
     let mut cells = 0usize;
@@ -230,39 +237,29 @@ fn dynamic_rate0_matrix_equals_static() {
 
                 let mut kernel = StepKernel::new(&g, xi0.clone(), spec).unwrap();
                 let mut kernel_rng = StdRng::seed_from_u64(SEEDS[0]);
-                let mut dynamic = DynamicStepKernel::new(
-                    DynamicGraph::new(g.clone()),
-                    xi0.clone(),
-                    spec,
-                    churn.clone(),
-                    0xC0FFEE, // churn seed must be irrelevant at rate 0
-                )
-                .unwrap();
-                let mut dynamic_rng = StdRng::seed_from_u64(SEEDS[0]);
-
-                let mut batch = ReplicaBatch::new(&g, spec, &xi0, &SEEDS).unwrap();
-                let mut dynamic_batch = DynamicReplicaBatch::new(
-                    DynamicGraph::new(g.clone()),
+                let mut dynamic = ReplicaBatch::with_topology(
+                    rate0_topology(&g, churn.clone()),
                     spec,
                     &xi0,
-                    &SEEDS,
-                    churn,
-                    0xC0FFEE,
+                    &SEEDS[..1],
                 )
                 .unwrap();
+
+                let mut batch = ReplicaBatch::new(&g, spec, &xi0, &SEEDS).unwrap();
+                let mut dynamic_batch =
+                    ReplicaBatch::with_topology(rate0_topology(&g, churn), spec, &xi0, &SEEDS)
+                        .unwrap();
 
                 for checkpoint in 1..=CHECKPOINTS {
                     kernel.step_many(STEPS_PER_CHECKPOINT, &mut kernel_rng);
-                    dynamic
-                        .step_epoch(STEPS_PER_CHECKPOINT, &mut dynamic_rng)
-                        .unwrap();
+                    dynamic.step_epoch(STEPS_PER_CHECKPOINT).unwrap();
                     batch.step_many(STEPS_PER_CHECKPOINT);
                     dynamic_batch.step_epoch(STEPS_PER_CHECKPOINT).unwrap();
 
                     let t = checkpoint * STEPS_PER_CHECKPOINT;
                     assert_bits_identical(
                         kernel.values(),
-                        dynamic.values(),
+                        dynamic.replica_values(0),
                         &format!("{name}, dynamic kernel vs static at t={t}"),
                     );
                     for r in 0..SEEDS.len() {
@@ -273,10 +270,15 @@ fn dynamic_rate0_matrix_equals_static() {
                         );
                     }
                 }
-                assert_eq!(dynamic.mutations(), 0, "{name}: rate-0 churn mutated");
-                assert_eq!(dynamic_batch.mutations(), 0);
-                assert_eq!(dynamic.dynamic_graph().rebuilds(), 0);
-                assert_eq!(dynamic.dynamic_graph().patches(), 0);
+                assert_eq!(
+                    dynamic.topology().mutations(),
+                    0,
+                    "{name}: rate-0 churn mutated"
+                );
+                assert_eq!(dynamic_batch.topology().mutations(), 0);
+                let dynamic_graph = dynamic.topology().dynamic_graph().unwrap();
+                assert_eq!(dynamic_graph.rebuilds(), 0);
+                assert_eq!(dynamic_graph.patches(), 0);
                 cells += 1;
             }
         }
@@ -298,27 +300,20 @@ fn dynamic_voter_rate0_matrix_equals_static() {
         for (churn_name, churn) in rate0_churns() {
             let mut kernel = VoterKernel::new(&g, opinions0.clone()).unwrap();
             let mut kernel_rng = StdRng::seed_from_u64(SEEDS[0]);
-            let mut dynamic = DynamicVoterKernel::new(
-                DynamicGraph::new(g.clone()),
-                opinions0.clone(),
-                churn,
-                0xC0FFEE,
-            )
-            .unwrap();
-            let mut dynamic_rng = StdRng::seed_from_u64(SEEDS[0]);
+            let mut dynamic =
+                VoterBatch::with_topology(rate0_topology(&g, churn), &opinions0, &SEEDS[..1])
+                    .unwrap();
             for checkpoint in 1..=CHECKPOINTS {
                 kernel.step_many(STEPS_PER_CHECKPOINT, &mut kernel_rng);
-                dynamic
-                    .step_epoch(STEPS_PER_CHECKPOINT, &mut dynamic_rng)
-                    .unwrap();
+                dynamic.step_epoch(STEPS_PER_CHECKPOINT).unwrap();
                 assert_eq!(
                     kernel.opinions(),
-                    dynamic.opinions(),
+                    dynamic.replica_opinions(0),
                     "{graph_name} × {churn_name}: dynamic voter diverged at t={}",
                     checkpoint * STEPS_PER_CHECKPOINT
                 );
             }
-            assert_eq!(kernel.is_consensus(), dynamic.is_consensus());
+            assert_eq!(kernel.is_consensus(), dynamic.replica_is_consensus(0));
             cells += 1;
         }
     }
@@ -497,7 +492,7 @@ fn voter_consensus_matrix_batched_equals_scalar() {
             .collect();
         for threads in [1usize, 4] {
             let mut batch = VoterBatch::new(&g, &opinions0, &SEEDS).unwrap();
-            let reports = batch.run_to_consensus(BUDGET, 0, threads);
+            let reports = batch.run_to_consensus(BUDGET, 0, threads).unwrap();
             for (r, (scalar_report, scalar_opinions)) in scalar.iter().enumerate() {
                 assert_eq!(
                     &reports[r], scalar_report,
@@ -531,17 +526,14 @@ fn dynamic_convergence_rate0_matrix_equals_static() {
             )
             .unwrap();
         for (churn_name, churn) in rate0_churns() {
-            let mut dynamic = DynamicReplicaBatch::new(
-                DynamicGraph::new(g.clone()),
-                spec,
-                &xi0,
-                &SEEDS,
-                churn,
-                0xC0FFEE,
-            )
-            .unwrap();
+            let mut dynamic =
+                ReplicaBatch::with_topology(rate0_topology(&g, churn), spec, &xi0, &SEEDS).unwrap();
             let reports = dynamic
-                .run_until_converged(EPOCH, MAX_EPOCHS, EPS, 2)
+                .run_until_converged(
+                    ConvergeConfig::new(EPS, MAX_EPOCHS * EPOCH)
+                        .with_check_every(EPOCH)
+                        .with_threads(2),
+                )
                 .unwrap();
             assert_eq!(
                 reports, static_reports,
@@ -554,7 +546,7 @@ fn dynamic_convergence_rate0_matrix_equals_static() {
                     &format!("{graph_name} × {churn_name}, replica {r}"),
                 );
             }
-            assert_eq!(dynamic.mutations(), 0);
+            assert_eq!(dynamic.topology().mutations(), 0);
         }
     }
 }
@@ -731,9 +723,9 @@ fn scenario_uniform_exact_matrix_equals_scalar_loop() {
 }
 
 /// Scenario-API gate, dynamic arm (the DYN-CHURN routing contract): a
-/// churned scenario must reproduce the direct
-/// `DynamicReplicaBatch::run_until_converged` sweep — same churn seed,
-/// same per-trial stopping times — and stay batch-size independent.
+/// churned scenario must reproduce the direct churned-topology
+/// `ReplicaBatch::run_until_converged` sweep — same churn seed, same
+/// per-trial stopping times — and stay batch-size independent.
 #[test]
 fn scenario_dynamic_churn_matrix_equals_direct_engine() {
     const EPS: f64 = 1e-6;
@@ -744,17 +736,20 @@ fn scenario_dynamic_churn_matrix_equals_direct_engine() {
     for (graph_name, graph_spec, g) in matrix_graph_specs() {
         let xi0 = initial_values(g.n());
         let kspec = KernelSpec::Node(NodeModelParams::new(0.35, 2).unwrap());
-        let mut direct = DynamicReplicaBatch::new(
+        let topology = Topology::churned(
             DynamicGraph::new(g.clone()),
-            kspec,
-            &xi0,
-            &scenario_trial_seeds(SEED, 8),
             ChurnModel::edge_swap(2),
             CHURN_SEED,
-        )
-        .unwrap();
+        );
+        let mut direct =
+            ReplicaBatch::with_topology(topology, kspec, &xi0, &scenario_trial_seeds(SEED, 8))
+                .unwrap();
         let reference = direct
-            .run_until_converged(EPOCH, MAX_EPOCHS, EPS, 1)
+            .run_until_converged(
+                ConvergeConfig::new(EPS, MAX_EPOCHS * EPOCH)
+                    .with_check_every(EPOCH)
+                    .with_threads(1),
+            )
             .unwrap();
 
         for batch in [0usize, 3] {
@@ -810,7 +805,7 @@ fn scenario_voter_consensus_matrix_equals_direct_engine() {
     for (graph_name, graph_spec, g) in matrix_graph_specs() {
         let opinions0: Vec<u32> = (0..g.n() as u32).map(|i| i % 3).collect();
         let mut direct = VoterBatch::new(&g, &opinions0, &scenario_trial_seeds(SEED, 8)).unwrap();
-        let reference = direct.run_to_consensus(BUDGET, 0, 1);
+        let reference = direct.run_to_consensus(BUDGET, 0, 1).unwrap();
 
         let mut spec = ScenarioSpec::new(ModelSpec::Voter, graph_spec, 0);
         spec.replicas = 8;

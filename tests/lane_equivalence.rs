@@ -5,7 +5,7 @@
 //! draw has the model's focus distribution; neighbour choices and lazy
 //! coins are per-lane), but lanes are mutually correlated and nothing is
 //! bit-comparable with the exact tier. What must therefore hold — and
-//! what this suite pins over a 5-graph × 3-model matrix — is that the
+//! what this suite pins over a 5-graph × 2-model matrix — is that the
 //! *distributions* agree:
 //!
 //! * every replica converges under both tiers on the same ε/budget;
@@ -37,8 +37,8 @@
 #![cfg(feature = "lane")]
 
 use opinion_dynamics::core::{
-    ConvergeConfig, EdgeModelParams, KernelSpec, LaneReplicaBatch, Laziness, NodeModelParams,
-    PotentialKind, ReplicaBatch, StopRule,
+    ConvergeConfig, KernelSpec, LaneReplicaBatch, Laziness, NodeModelParams, PotentialKind,
+    ReplicaBatch, StopRule,
 };
 use opinion_dynamics::graph::{generators, Graph};
 use opinion_dynamics::stats::SeedSequence;
@@ -75,7 +75,6 @@ fn model_matrix() -> Vec<(&'static str, KernelSpec)> {
             "node_k2",
             KernelSpec::Node(NodeModelParams::new(0.3, 2).unwrap()),
         ),
-        ("edge", KernelSpec::Edge(EdgeModelParams::new(0.5).unwrap())),
     ]
 }
 
@@ -109,14 +108,12 @@ fn lane_tier_matches_exact_tier_in_distribution() {
             let cell = format!("{gname}/{mname}");
             // Non-lazy NodeModel with k = d everywhere: no per-lane
             // randomness, lanes coincide (see the module docs).
-            let degenerate = match spec {
-                KernelSpec::Node(p) => {
-                    p.laziness() == Laziness::Active
-                        && graph.min_degree() == graph.max_degree()
-                        && p.k() == graph.min_degree()
-                }
-                KernelSpec::Edge(_) => false,
+            let KernelSpec::Node(p) = spec else {
+                unreachable!("the lane tier runs the NodeModel only")
             };
+            let degenerate = p.laziness() == Laziness::Active
+                && graph.min_degree() == graph.max_degree()
+                && p.k() == graph.min_degree();
 
             let mut exact = ReplicaBatch::new(&graph, spec, &xi0, &seeds).unwrap();
             let exact_reports = exact
