@@ -25,6 +25,7 @@ use od_sim::{
 use od_stats::SeedSequence;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 pub use od_sim::pm_one;
 
@@ -32,12 +33,12 @@ pub use od_sim::pm_one;
 /// replicas of `model` on `graph` from `xi0`, the scalar-identical exact
 /// stopping rule on `potential`, per-trial seeds derived from `seeds`.
 /// `graph_spec` is the descriptive generator entry; the sweep runs on the
-/// supplied `graph` instance (shared with the experiment's spectral
-/// predictions).
+/// supplied `graph` instance (shared, not copied, with the experiment's
+/// spectral predictions).
 #[allow(clippy::too_many_arguments)] // one declarative sweep cell
 pub fn converge_simulation(
     graph_spec: GraphSpec,
-    graph: &Graph,
+    graph: &Arc<Graph>,
     model: ModelSpec,
     potential: PotentialSpec,
     xi0: &[f64],
@@ -55,7 +56,7 @@ pub fn converge_simulation(
         potential,
         budget: step_budget(graph),
     };
-    Simulation::from_spec_with_graph(&spec, graph.clone())
+    Simulation::from_spec_with_graph(&spec, Arc::clone(graph))
         .expect("experiment scenarios are valid")
         .with_initial_values(xi0.to_vec())
         .expect("xi0 matches the graph")
@@ -66,7 +67,7 @@ pub fn converge_simulation(
 #[allow(clippy::too_many_arguments)] // one declarative sweep cell
 pub fn run_node_converge(
     graph_spec: GraphSpec,
-    graph: &Graph,
+    graph: &Arc<Graph>,
     alpha: f64,
     k: usize,
     xi0: &[f64],
@@ -97,7 +98,7 @@ pub fn run_node_converge(
 /// engine, bit-identical to the scalar `potential_uniform` loop.
 pub fn run_edge_converge_uniform(
     graph_spec: GraphSpec,
-    graph: &Graph,
+    graph: &Arc<Graph>,
     alpha: f64,
     xi0: &[f64],
     trials: usize,

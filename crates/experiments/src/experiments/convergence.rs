@@ -17,13 +17,14 @@ use od_sim::{
     SweepAxis, SweepSpec,
 };
 use od_stats::{fmt_float, SeedSequence, Table, Welford};
+use std::sync::Arc;
 
 /// NodeModel ε-convergence times through the Scenario API: per-trial
 /// stopping times under the exact stopping rule, folded in trial order.
 #[allow(clippy::too_many_arguments)] // one declarative sweep cell
 fn node_steps_stats(
     graph_spec: GraphSpec,
-    g: &Graph,
+    g: &Arc<Graph>,
     alpha: f64,
     k: usize,
     xi0: &[f64],
@@ -189,7 +190,7 @@ pub fn k_dependence(ctx: &ExperimentContext) -> Vec<Table> {
     let eps = 1e-9;
     let alpha = 0.5;
     let d = 6;
-    let g = generators::hypercube(d).unwrap();
+    let g = Arc::new(generators::hypercube(d).unwrap());
     let lambda2 = 1.0 - spectra::lazy_gap_regular(&spectra::hypercube_adjacency(d), d);
     let xi0 = common::pm_one(g.n());
     let phi0 = od_core::OpinionState::new(&g, xi0.clone())
@@ -304,6 +305,7 @@ pub fn edge_convergence(ctx: &ExperimentContext) -> Vec<Table> {
         ],
     );
     for (idx, (name, graph_spec, g)) in cases.into_iter().enumerate() {
+        let g = Arc::new(g);
         let lambda2 = eigen::laplacian_spectrum(&g, 1e-11, 2_000_000).lambda2;
         let xi0 = common::pm_one(g.n());
         let phi0: f64 = {
@@ -339,7 +341,7 @@ pub fn lower_bound(ctx: &ExperimentContext) -> Vec<Table> {
     let eps = 1e-9;
     let alpha = 0.5;
     let n = if ctx.quick { 24 } else { 48 };
-    let g = generators::cycle(n).unwrap();
+    let g = Arc::new(generators::cycle(n).unwrap());
     let spec = eigen::lazy_walk_spectrum(&g, 1e-12, 4_000_000);
     // Worst case: ξ(0) ∝ f₂(P), scaled to ‖ξ‖² = n like the ±1 vector.
     let scale = (n as f64).sqrt() / od_linalg::vector::norm2(&spec.f2);

@@ -12,6 +12,7 @@ use od_sim::GraphSpec;
 use od_stats::{fmt_float, Table, Welford};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Estimation tolerance for the convergence value per trial.
 const F_EPS: f64 = 1e-10;
@@ -21,7 +22,7 @@ fn empirical_var_node(
     ctx: &ExperimentContext,
     child: u64,
     graph_spec: GraphSpec,
-    g: &Graph,
+    g: &Arc<Graph>,
     alpha: f64,
     k: usize,
     xi0: &[f64],
@@ -49,26 +50,26 @@ pub fn structure_independence(ctx: &ExperimentContext) -> Vec<Table> {
     // so they are supplied programmatically; the GraphSpec entries are
     // descriptive (`Simulation::from_spec_with_graph`).
     let mut rng = StdRng::seed_from_u64(777);
-    let cases: Vec<(String, GraphSpec, Graph)> = vec![
+    let cases: Vec<(String, GraphSpec, Arc<Graph>)> = vec![
         (
             format!("cycle({n})"),
             GraphSpec::Cycle { n },
-            generators::cycle(n).unwrap(),
+            Arc::new(generators::cycle(n).unwrap()),
         ),
         (
             format!("random_regular({n},4)"),
             GraphSpec::RandomRegular { n, d: 4, seed: 777 },
-            generators::random_regular(n, 4, &mut rng).unwrap(),
+            Arc::new(generators::random_regular(n, 4, &mut rng).unwrap()),
         ),
         (
             format!("random_regular({n},8)"),
             GraphSpec::RandomRegular { n, d: 8, seed: 777 },
-            generators::random_regular(n, 8, &mut rng).unwrap(),
+            Arc::new(generators::random_regular(n, 8, &mut rng).unwrap()),
         ),
         (
             format!("complete({n})"),
             GraphSpec::Complete { n },
-            generators::complete(n).unwrap(),
+            Arc::new(generators::complete(n).unwrap()),
         ),
     ];
     let mut t = Table::new(
@@ -173,26 +174,31 @@ pub fn exact_prediction(ctx: &ExperimentContext) -> Vec<Table> {
             "z_score",
         ],
     );
-    let cases: Vec<(&str, GraphSpec, Graph, usize)> = vec![
+    let cases: Vec<(&str, GraphSpec, Arc<Graph>, usize)> = vec![
         (
             "cycle(16)",
             GraphSpec::Cycle { n: 16 },
-            generators::cycle(16).unwrap(),
+            Arc::new(generators::cycle(16).unwrap()),
             1,
         ),
         (
             "complete(16)",
             GraphSpec::Complete { n: 16 },
-            generators::complete(16).unwrap(),
+            Arc::new(generators::complete(16).unwrap()),
             1,
         ),
         (
             "hypercube(4)",
             GraphSpec::Hypercube { dim: 4 },
-            generators::hypercube(4).unwrap(),
+            Arc::new(generators::hypercube(4).unwrap()),
             2,
         ),
-        ("petersen", GraphSpec::Petersen, generators::petersen(), 3),
+        (
+            "petersen",
+            GraphSpec::Petersen,
+            Arc::new(generators::petersen()),
+            3,
+        ),
     ];
     for (idx, (name, graph_spec, g, k)) in cases.iter().enumerate() {
         // A non-uniform initial vector exercises the edge term of the

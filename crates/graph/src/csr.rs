@@ -1,5 +1,6 @@
 use crate::error::GraphError;
 use crate::traversal;
+use std::sync::OnceLock;
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which keeps the
 /// CSR arrays compact (the experiments run graphs up to ~10^6 nodes).
@@ -40,8 +41,18 @@ pub struct DirectedEdge {
 ///
 /// Connectivity is *not* an invariant — generators return connected graphs,
 /// but [`Graph::from_edges`] accepts disconnected inputs so that traversal
-/// utilities can be tested. Processes validate connectivity themselves.
-#[derive(Debug, Clone, PartialEq)]
+/// utilities can be tested. Processes validate connectivity themselves
+/// through [`Graph::is_connected`], which is memoised: the first call
+/// runs one BFS and stores the answer, `clone()` carries it, and every
+/// adjacency writer (the in-place and shifted patches and the rebuild of
+/// [`crate::DynamicGraph`]) resets it. The generators record what they
+/// already know — the deterministic families and Barabási–Albert are
+/// connected by construction, the resampling families keep the BFS their
+/// retry loop ran — so a generated graph and all its copies are never
+/// walked again. Only crate-internal code can record the flag;
+/// [`Graph::check_invariants`] verifies a recorded flag against a fresh
+/// BFS, and `==` ignores it.
+#[derive(Debug, Clone)]
 pub struct Graph {
     /// `offsets[u]..offsets[u+1]` indexes `u`'s neighbours. Length `n + 1`.
     offsets: Vec<usize>,
@@ -67,6 +78,31 @@ pub struct Graph {
     row_maxes: Option<Vec<f64>>,
     /// Directed mode: rows are out-neighbour lists, no symmetry invariant.
     directed: bool,
+    /// Memoised [`Graph::is_connected`] answer (see the type docs). A
+    /// cache of the adjacency, so equality ignores it.
+    connected: OnceLock<bool>,
+}
+
+impl PartialEq for Graph {
+    fn eq(&self, other: &Self) -> bool {
+        let Graph {
+            offsets,
+            neighbors,
+            tails,
+            weights,
+            row_sums,
+            row_maxes,
+            directed,
+            connected: _,
+        } = self;
+        *offsets == other.offsets
+            && *neighbors == other.neighbors
+            && *tails == other.tails
+            && *weights == other.weights
+            && *row_sums == other.row_sums
+            && *row_maxes == other.row_maxes
+            && *directed == other.directed
+    }
 }
 
 // `weights` is the only non-`Eq` field, and construction rejects NaN (all
@@ -345,6 +381,7 @@ impl Graph {
         }
         // Rebuild targets are always the paper's plain mode; a dynamic
         // back buffer may have held anything before being refilled.
+        self.connected = OnceLock::new();
         self.weights = None;
         self.row_sums = None;
         self.row_maxes = None;
@@ -429,6 +466,7 @@ impl Graph {
         // carry no weight for the added targets), so the patch target is
         // plain too.
         debug_assert!(!src.is_weighted() && !src.is_directed());
+        self.connected = OnceLock::new();
         self.weights = None;
         self.row_sums = None;
         self.row_maxes = None;
@@ -495,7 +533,16 @@ impl Graph {
             row_sums: None,
             row_maxes: None,
             directed: false,
+            connected: OnceLock::new(),
         }
+    }
+
+    /// Records that the graph is connected, for a generator whose
+    /// construction guarantees it, so no later [`Graph::is_connected`]
+    /// call walks this graph or its copies.
+    pub(crate) fn record_connected(&mut self) {
+        debug_assert!(traversal::is_connected(self));
+        self.connected = OnceLock::from(true);
     }
 
     /// Mutable access to `u`'s neighbour row for the in-place delta patch
@@ -503,6 +550,7 @@ impl Graph {
     /// (sorted, no duplicates, no self loop) before the graph is read
     /// again; [`Graph::check_invariants`] verifies them.
     pub(crate) fn row_mut(&mut self, u: NodeId) -> &mut [NodeId] {
+        self.connected = OnceLock::new();
         let (start, end) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
         &mut self.neighbors[start..end]
     }
@@ -714,9 +762,11 @@ impl Graph {
     }
 
     /// Whether the graph is connected (empty and singleton graphs count as
-    /// connected).
+    /// connected). Memoised: only the first call on a graph (or on the
+    /// graph it was cloned from) runs a BFS, and generated graphs arrive
+    /// with the answer recorded.
     pub fn is_connected(&self) -> bool {
-        traversal::is_connected(self)
+        *self.connected.get_or_init(|| traversal::is_connected(self))
     }
 
     /// Stationary distribution of the random walk, `π_u = d_u / 2m`
@@ -764,7 +814,8 @@ impl Graph {
     ///   `u ∈ N(v)`), and any weights agree across orientations;
     /// * `tails[e]` names the row that owns slot `e`;
     /// * weights, if present, are aligned, finite, non-negative, with no
-    ///   all-zero row, and the cached row sums match.
+    ///   all-zero row, and the cached row sums match;
+    /// * a memoised connectivity answer, if present, matches a fresh BFS.
     ///
     /// [`Graph::from_edges`] establishes these by construction; the dynamic
     /// layer re-checks them after in-place delta patches, and the
@@ -817,6 +868,11 @@ impl Graph {
                     "tails[{e}] = {} but slot belongs to node {u}",
                     self.tails[e]
                 ));
+            }
+        }
+        if let Some(&memo) = self.connected.get() {
+            if memo != traversal::is_connected(self) {
+                return broken(format!("stale connectivity memo: recorded {memo}"));
             }
         }
         self.check_weight_invariants()
@@ -1009,6 +1065,27 @@ mod tests {
     fn disconnected_graph_allowed_but_flagged() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(!g.is_connected());
+    }
+
+    #[test]
+    fn connectivity_memo_is_carried_by_clone_and_ignored_by_eq() {
+        let g = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
+        assert_eq!(g.connected.get(), None, "from_edges records nothing");
+        let unfilled = g.clone();
+        assert!(g.is_connected());
+        assert_eq!(g.connected.get(), Some(&true));
+        assert_eq!(g.clone().connected.get(), Some(&true));
+        assert_eq!(unfilled.connected.get(), None);
+        assert_eq!(g, unfilled, "== ignores the memo");
+        // A memo that disagrees with the adjacency breaks an invariant.
+        let mut liar = g.clone();
+        liar.connected = OnceLock::from(false);
+        assert_eq!(liar, g);
+        assert!(matches!(
+            liar.check_invariants(),
+            Err(GraphError::BrokenInvariant(_))
+        ));
+        g.check_invariants().unwrap();
     }
 
     #[test]

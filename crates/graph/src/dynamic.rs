@@ -1091,6 +1091,49 @@ mod tests {
         assert_eq!(dg.graph(), &reference);
     }
 
+    /// Fills the connectivity memo on a connected 8-cycle, commits a
+    /// disconnecting delta and checks the route taken and that the
+    /// committed CSR no longer claims to be connected.
+    fn assert_commit_resets_memo(stage: impl FnOnce(&mut DynamicGraph), route: CommitOutcome) {
+        let mut dg = DynamicGraph::new(generators::cycle(8).unwrap());
+        assert!(dg.graph().is_connected());
+        stage(&mut dg);
+        assert_eq!(dg.commit(), route);
+        assert!(!crate::traversal::is_connected(dg.graph()));
+        assert!(!dg.graph().is_connected(), "{route:?} kept a stale memo");
+        dg.graph().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn every_commit_route_resets_the_connectivity_memo() {
+        // {0,1},{4,5} -> {0,5},{1,4}: degrees kept, two 4-cycles left.
+        assert_commit_resets_memo(
+            |dg| {
+                dg.remove_edge(0, 1).unwrap();
+                dg.remove_edge(4, 5).unwrap();
+                dg.add_edge(0, 5).unwrap();
+                dg.add_edge(1, 4).unwrap();
+            },
+            CommitOutcome::Patched,
+        );
+        // Two removals change degrees: two paths left.
+        assert_commit_resets_memo(
+            |dg| {
+                dg.remove_edge(0, 1).unwrap();
+                dg.remove_edge(4, 5).unwrap();
+            },
+            CommitOutcome::Shifted,
+        );
+        // A replacement sharing no edge: evens and odds as two 4-cycles.
+        assert_commit_resets_memo(
+            |dg| {
+                let edges: Vec<(NodeId, NodeId)> = (0..8).map(|i| (i, (i + 2) % 8)).collect();
+                dg.set_edges(&edges).unwrap();
+            },
+            CommitOutcome::Rebuilt,
+        );
+    }
+
     #[test]
     fn rebuild_reuses_back_buffer() {
         // A replacement disjoint from the committed set diffs to a delta

@@ -6,13 +6,24 @@
 //! d-regular, …) exercise the "arbitrary graph" side of Theorems 2.2/2.4.
 //!
 //! All generators return *connected* graphs or an error; randomized ones
-//! retry a bounded number of times.
+//! retry a bounded number of times. Every returned graph arrives with its
+//! connectivity memo filled (see [`Graph::is_connected`]): the families
+//! that are connected by construction record it, the resampling families
+//! keep the answer of their retry loop's BFS.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
-use crate::traversal;
 use rand::Rng;
+
+/// Records that a family is connected by construction, so neither the
+/// returned graph nor any copy of it is ever walked to find out.
+fn connected(graph: Result<Graph, GraphError>) -> Result<Graph, GraphError> {
+    graph.map(|mut g| {
+        g.record_connected();
+        g
+    })
+}
 
 /// Cycle `C_n` (`n >= 3`), 2-regular.
 ///
@@ -30,7 +41,7 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
     let edges: Vec<_> = (0..n)
         .map(|i| (i as NodeId, ((i + 1) % n) as NodeId))
         .collect();
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Path `P_n` (`n >= 2`).
@@ -49,7 +60,7 @@ pub fn path(n: usize) -> Result<Graph, GraphError> {
     let edges: Vec<_> = (0..n - 1)
         .map(|i| (i as NodeId, (i + 1) as NodeId))
         .collect();
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Complete graph `K_n` (`n >= 2`), `(n-1)`-regular.
@@ -71,7 +82,7 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
             edges.push((u as NodeId, v as NodeId));
         }
     }
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Star `S_n` on `n` nodes total: node 0 is the centre (`n >= 2`). The
@@ -89,7 +100,7 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
         });
     }
     let edges: Vec<_> = (1..n).map(|v| (0 as NodeId, v as NodeId)).collect();
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Complete bipartite graph `K_{a,b}` (`a, b >= 1`); nodes `0..a` on one
@@ -110,7 +121,7 @@ pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
             edges.push((u as NodeId, (a + v) as NodeId));
         }
     }
-    Graph::from_edges(a + b, &edges)
+    connected(Graph::from_edges(a + b, &edges))
 }
 
 /// 2-D grid of `rows × cols` nodes. With `wrap = true` this is the torus
@@ -146,7 +157,7 @@ pub fn grid2d(rows: usize, cols: usize, wrap: bool) -> Result<Graph, GraphError>
             }
         }
     }
-    Graph::from_edges(rows * cols, &edges)
+    connected(Graph::from_edges(rows * cols, &edges))
 }
 
 /// Torus shorthand: `grid2d(rows, cols, true)`.
@@ -179,7 +190,7 @@ pub fn hypercube(dim: usize) -> Result<Graph, GraphError> {
             }
         }
     }
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Complete binary tree with the given number of levels (`levels >= 1`;
@@ -201,7 +212,7 @@ pub fn binary_tree(levels: usize) -> Result<Graph, GraphError> {
         let parent = (child - 1) / 2;
         edges.push((parent as NodeId, child as NodeId));
     }
-    Graph::from_edges(n, &edges)
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// The Petersen graph: 10 nodes, 3-regular, girth 5. A standard
@@ -216,7 +227,9 @@ pub fn petersen() -> Graph {
         edges.push((5 + i, 5 + (i + 2) % 5));
         edges.push((i, i + 5));
     }
-    Graph::from_edges(10, &edges).expect("Petersen construction is fixed and valid")
+    let mut g = Graph::from_edges(10, &edges).expect("Petersen construction is fixed and valid");
+    g.record_connected();
+    g
 }
 
 /// Barbell graph: two copies of `K_k` joined by a single bridge edge
@@ -240,7 +253,7 @@ pub fn barbell(k: usize) -> Result<Graph, GraphError> {
     }
     // Bridge between node k-1 (first clique) and node k (second clique).
     edges.push(((k - 1) as NodeId, k as NodeId));
-    Graph::from_edges(2 * k, &edges)
+    connected(Graph::from_edges(2 * k, &edges))
 }
 
 /// Lollipop graph: `K_k` with a path of `tail` extra nodes attached
@@ -265,7 +278,7 @@ pub fn lollipop(k: usize, tail: usize) -> Result<Graph, GraphError> {
     for i in 0..tail - 1 {
         edges.push(((k + i) as NodeId, (k + i + 1) as NodeId));
     }
-    Graph::from_edges(k + tail, &edges)
+    connected(Graph::from_edges(k + tail, &edges))
 }
 
 /// Maximum attempts for randomized generators before giving up.
@@ -301,7 +314,8 @@ pub fn gnp_connected<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<G
             }
         }
         let g = b.build();
-        if traversal::is_connected(&g) {
+        // The retry loop's BFS fills the graph's connectivity memo.
+        if g.is_connected() {
             return Ok(g);
         }
     }
@@ -340,7 +354,8 @@ pub fn gnm_connected<R: Rng + ?Sized>(
             }
         }
         let g = b.build();
-        if traversal::is_connected(&g) {
+        // The retry loop's BFS fills the graph's connectivity memo.
+        if g.is_connected() {
             return Ok(g);
         }
     }
@@ -401,7 +416,8 @@ pub fn random_regular<R: Rng + ?Sized>(
             }
         }
         let g = b.build();
-        if traversal::is_connected(&g) {
+        // The retry loop's BFS fills the graph's connectivity memo.
+        if g.is_connected() {
             return Ok(g);
         }
     }
@@ -459,7 +475,8 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
             }
         }
         let g = b.build();
-        if traversal::is_connected(&g) {
+        // The retry loop's BFS fills the graph's connectivity memo.
+        if g.is_connected() {
             return Ok(g);
         }
     }
@@ -511,7 +528,9 @@ pub fn barabasi_albert<R: Rng + ?Sized>(
             }
         }
     }
-    Ok(b.build())
+    let mut g = b.build();
+    g.record_connected();
+    Ok(g)
 }
 
 #[cfg(test)]

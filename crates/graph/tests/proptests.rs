@@ -56,6 +56,30 @@ proptest! {
         prop_assert!(g.is_connected());
     }
 
+    /// The four resampling generators record the connectivity their retry
+    /// loop measured; the recorded answer matches a raw BFS.
+    #[test]
+    fn resampling_generators_record_true_connectivity(
+        seed in 0u64..10_000,
+        half_n in 4usize..20,
+        family in 0usize..4,
+    ) {
+        let n = 2 * half_n;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = match family {
+            0 => generators::gnp_connected(n, 0.3, &mut rng),
+            1 => generators::gnm_connected(n, 2 * n, &mut rng),
+            2 => generators::random_regular(n, 3, &mut rng),
+            _ => generators::watts_strogatz(n, 2, 0.3, &mut rng),
+        };
+        let Ok(g) = g else {
+            return Ok(()); // sub-threshold samples may exhaust retries: skip
+        };
+        prop_assert_eq!(g.is_connected(), traversal::is_connected(&g));
+        prop_assert!(g.clone().is_connected());
+        prop_assert!(g.check_invariants().is_ok());
+    }
+
     /// The builder deduplicates arbitrary edge streams into a simple graph.
     #[test]
     fn builder_yields_simple_graph(edges in prop::collection::vec((0u32..12, 0u32..12), 0..80)) {

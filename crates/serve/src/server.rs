@@ -404,8 +404,8 @@ fn execute_cell(
         shared.stats.cache_hits.fetch_add(1, Ordering::SeqCst);
         return Ok(hit);
     }
-    let sim = Simulation::from_spec_with_graph(spec, graph.as_ref().clone())
-        .map_err(|e| e.to_string())?;
+    let sim =
+        Simulation::from_spec_with_graph(spec, Arc::clone(graph)).map_err(|e| e.to_string())?;
     let report = match sim.converge_window().map_err(|e| e.to_string())? {
         Some(window) => {
             // Resume a persisted mid-cell checkpoint when one matches;

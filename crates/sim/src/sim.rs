@@ -50,6 +50,7 @@ use od_stats::{SeedSequence, Summary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// The engine a scenario dispatches to (see the module-level table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -210,10 +211,14 @@ impl SimulationReport {
 /// override the graph or initial state (for programmatic inputs the text
 /// format cannot express, e.g. an eigenvector initial condition), then
 /// [`Simulation::run`].
+///
+/// The graph is held by `Arc`, so the cells of a sweep (and the od-serve
+/// workers) share one CSR instead of copying it per cell; a `weights
+/// uniform` scenario copies it on write.
 #[derive(Debug, Clone)]
 pub struct Simulation {
     spec: ScenarioSpec,
-    graph: Graph,
+    graph: Arc<Graph>,
     xi0: Vec<f64>,
     opinions0: Vec<u32>,
     /// The built churn model for dynamic scenarios — resolved once at
@@ -237,20 +242,25 @@ impl Simulation {
         // `realize` also performs the edge-list IO of `graph file=`
         // specs, so a bad path or malformed file is a `from_spec` error.
         let graph = spec.graph.realize()?;
-        Simulation::assemble(spec.clone(), graph)
+        Simulation::assemble(spec.clone(), Arc::new(graph))
     }
 
     /// Like [`Simulation::from_spec`], but runs on the given graph
     /// instance instead of building `spec.graph` — for callers that share
-    /// one instance with a direct-engine comparison or a spectral
-    /// predictor (the spec's `graph` field is then purely descriptive).
+    /// one instance with a direct-engine comparison, a spectral predictor
+    /// or other sweep cells (the spec's `graph` field is then purely
+    /// descriptive). Pass an `Arc<Graph>` to share the CSR without a
+    /// copy, or an owned [`Graph`].
     ///
     /// # Errors
     ///
     /// The same as [`Simulation::from_spec`].
-    pub fn from_spec_with_graph(spec: &ScenarioSpec, graph: Graph) -> Result<Simulation, SimError> {
+    pub fn from_spec_with_graph(
+        spec: &ScenarioSpec,
+        graph: impl Into<Arc<Graph>>,
+    ) -> Result<Simulation, SimError> {
         spec.validate()?;
-        Simulation::assemble(spec.clone(), graph)
+        Simulation::assemble(spec.clone(), graph.into())
     }
 
     /// Replaces the graph (e.g. an instance shared with a direct-engine
@@ -259,8 +269,8 @@ impl Simulation {
     /// # Errors
     ///
     /// [`SimError::Core`] if the model rejects the new graph.
-    pub fn with_graph(self, graph: Graph) -> Result<Simulation, SimError> {
-        Simulation::assemble(self.spec, graph)
+    pub fn with_graph(self, graph: impl Into<Arc<Graph>>) -> Result<Simulation, SimError> {
+        Simulation::assemble(self.spec, graph.into())
     }
 
     /// Overrides the averaging initial values (inputs the declarative
@@ -308,7 +318,7 @@ impl Simulation {
         Ok(self)
     }
 
-    fn assemble(spec: ScenarioSpec, mut graph: Graph) -> Result<Simulation, SimError> {
+    fn assemble(spec: ScenarioSpec, mut graph: Arc<Graph>) -> Result<Simulation, SimError> {
         // Generated topologies become weighted here, after the graph is
         // realized (`weights uniform` draws one weight per edge from its
         // dedicated seed, so every replica sees the same instance).
@@ -508,11 +518,11 @@ impl Simulation {
     fn topology(&self) -> Topology<'_> {
         match (&self.spec.churn, &self.churn_model) {
             (Some(churn), Some(model)) => Topology::churned(
-                DynamicGraph::new(self.graph.clone()),
+                DynamicGraph::new(Graph::clone(&self.graph)),
                 model.clone(),
                 churn.seed,
             ),
-            _ => Topology::from(&self.graph),
+            _ => Topology::from(&*self.graph),
         }
     }
 
@@ -706,13 +716,16 @@ impl Simulation {
             }
             let mutations = batch.topology().mutations();
             Ok((0..chunk.len())
-                .map(|r| TrialResult {
-                    steps,
-                    converged: false,
-                    potential: batch.replica_potential_pi(r),
-                    estimate: batch.replica_weighted_average(r),
-                    winner: None,
-                    mutations,
+                .map(|r| {
+                    let (potential, estimate) = batch.replica_potential_and_average(r);
+                    TrialResult {
+                        steps,
+                        converged: false,
+                        potential,
+                        estimate,
+                        winner: None,
+                        mutations,
+                    }
                 })
                 .collect())
         })
@@ -1341,6 +1354,35 @@ mod tests {
         assert_eq!(report.trials[0].converged, converged);
         let mean = kernel.values().iter().sum::<f64>() / 9.0;
         assert_eq!(report.trials[0].estimate.to_bits(), mean.to_bits());
+    }
+
+    #[test]
+    fn shared_graph_is_not_copied() {
+        let spec = converge_spec();
+        let g = Arc::new(spec.graph.realize().unwrap());
+        let sim = Simulation::from_spec_with_graph(&spec, Arc::clone(&g)).unwrap();
+        assert!(std::ptr::eq(sim.graph(), &*g));
+        assert_eq!(
+            sim.run().unwrap(),
+            Simulation::from_spec(&spec).unwrap().run().unwrap()
+        );
+    }
+
+    #[test]
+    fn weights_copy_a_shared_graph_on_write() {
+        let mut spec = converge_spec();
+        spec.weights = crate::spec::WeightSpec::Uniform {
+            lo: 0.5,
+            hi: 2.0,
+            seed: 3,
+        };
+        let g = Arc::new(spec.graph.realize().unwrap());
+        let shared = Simulation::from_spec_with_graph(&spec, Arc::clone(&g)).unwrap();
+        assert!(!g.is_weighted(), "the shared instance stays unweighted");
+        assert!(shared.graph().is_weighted());
+        let owned = Simulation::from_spec_with_graph(&spec, Graph::clone(&g)).unwrap();
+        assert_eq!(shared.graph(), owned.graph());
+        assert_eq!(shared.run().unwrap(), owned.run().unwrap());
     }
 
     #[test]

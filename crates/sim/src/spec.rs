@@ -30,6 +30,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Errors raised while parsing, validating or running a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -400,13 +401,14 @@ pub enum WeightSpec {
 impl WeightSpec {
     /// Attaches the drawn weights to `graph` ([`WeightSpec::Unit`] is a
     /// no-op). Called once at [`crate::Simulation`] assembly, after the
-    /// graph is realized.
+    /// graph is realized. A graph shared with other cells is copied on
+    /// write, so only this scenario's instance becomes weighted.
     ///
     /// # Errors
     ///
     /// [`SimError::Graph`] if the graph rejects the weights (directed,
     /// or already carrying its own).
-    pub fn apply(&self, graph: &mut Graph) -> Result<(), SimError> {
+    pub fn apply(&self, graph: &mut Arc<Graph>) -> Result<(), SimError> {
         let WeightSpec::Uniform { lo, hi, seed } = *self else {
             return Ok(());
         };
@@ -414,7 +416,7 @@ impl WeightSpec {
         let draws: Vec<f64> = (0..graph.m())
             .map(|_| lo + rng.gen::<f64>() * (hi - lo))
             .collect();
-        graph.attach_weights(&draws)?;
+        Arc::make_mut(graph).attach_weights(&draws)?;
         Ok(())
     }
 }
@@ -2044,6 +2046,9 @@ mod tests {
         assert_eq!(specs.len(), 17, "cover all 17 generator families");
         for spec in specs {
             let g = spec.build().unwrap();
+            // Generators record connectivity; a raw BFS keeps the
+            // recorded answer honest.
+            assert!(od_graph::traversal::is_connected(&g), "{spec:?}");
             assert!(g.is_connected(), "{spec:?}");
             // Random families are reproducible from their seed.
             assert_eq!(spec.build().unwrap(), g);

@@ -20,7 +20,8 @@
 //! ([`run_sweep`]):
 //!
 //! * **Shared graphs** — cells with an identical resolved [`GraphSpec`]
-//!   share one CSR build (`Simulation::from_spec_with_graph`).
+//!   share one CSR build, held by `Arc` so no cell copies it
+//!   (`Simulation::from_spec_with_graph`).
 //! * **Common random numbers** — without a `sweep seed` axis every cell
 //!   keeps the base master seed, so trial `i` of every cell draws the
 //!   same randomness and cell deltas are CRN-paired: the paired-t
@@ -33,6 +34,7 @@
 //! exactly (property-gated in `tests/sweep_prop.rs`).
 
 use std::fmt;
+use std::sync::Arc;
 
 use od_graph::Graph;
 use od_stats::{paired_t_ci, Contrast};
@@ -636,12 +638,31 @@ impl SweepPlan {
 ///
 /// Assembly errors from [`Simulation::from_spec_with_graph`] (including
 /// file-input IO) or run errors from [`Simulation::run`].
-pub fn run_cell(spec: &ScenarioSpec, graph: Graph) -> Result<SimulationReport, SimError> {
+pub fn run_cell(
+    spec: &ScenarioSpec,
+    graph: impl Into<Arc<Graph>>,
+) -> Result<SimulationReport, SimError> {
     Simulation::from_spec_with_graph(spec, graph)?.run()
 }
 
+/// Distinct graph `index`, realized into its `graphs` slot on first use
+/// and handed out by `Arc` (no copy) ever after.
+fn shared_graph(
+    specs: &[GraphSpec],
+    graphs: &mut [Option<Arc<Graph>>],
+    index: usize,
+) -> Result<Arc<Graph>, SimError> {
+    if let Some(g) = &graphs[index] {
+        return Ok(Arc::clone(g));
+    }
+    let g = Arc::new(specs[index].realize()?);
+    graphs[index] = Some(Arc::clone(&g));
+    Ok(g)
+}
+
 /// Runs every cell of a sweep, building each distinct graph exactly
-/// once and reusing it across the cells that share it.
+/// once and sharing that one CSR (by `Arc`, no per-cell copy) across the
+/// cells that use it.
 ///
 /// # Errors
 ///
@@ -650,18 +671,11 @@ pub fn run_cell(spec: &ScenarioSpec, graph: Graph) -> Result<SimulationReport, S
 /// run errors from [`Simulation::run`].
 pub fn run_sweep(sweep: &SweepSpec) -> Result<SweepReport, SimError> {
     let plan = SweepPlan::new(sweep)?;
-    let mut graphs: Vec<Option<Graph>> = vec![None; plan.graph_specs.len()];
+    let mut graphs: Vec<Option<Arc<Graph>>> = vec![None; plan.graph_specs.len()];
     let mut reports = Vec::with_capacity(plan.cells.len());
     for (i, cell) in plan.cells.into_iter().enumerate() {
         let graph_index = plan.cell_graph[i];
-        let graph = match &graphs[graph_index] {
-            Some(g) => g.clone(),
-            None => {
-                let g = plan.graph_specs[graph_index].realize()?;
-                graphs[graph_index] = Some(g.clone());
-                g
-            }
-        };
+        let graph = shared_graph(&plan.graph_specs, &mut graphs, graph_index)?;
         let report = run_cell(&cell.spec, graph)?;
         reports.push(CellReport {
             cell,
@@ -831,6 +845,17 @@ mod tests {
         assert_eq!(report.distinct_graphs, 1, "one cycle build for 4 cells");
         assert!(report.crn);
         assert_eq!(report.contrasts().len(), 3);
+        // Every cell's simulation runs on the one shared allocation.
+        let plan = SweepPlan::new(&sweep).unwrap();
+        let mut graphs = vec![None; plan.graph_specs.len()];
+        let first = shared_graph(&plan.graph_specs, &mut graphs, plan.cell_graph[0]).unwrap();
+        for (cell, &index) in plan.cells.iter().zip(&plan.cell_graph) {
+            let graph = shared_graph(&plan.graph_specs, &mut graphs, index).unwrap();
+            assert!(Arc::ptr_eq(&graph, &first));
+            let sim = Simulation::from_spec_with_graph(&cell.spec, graph).unwrap();
+            assert!(std::ptr::eq(sim.graph(), &*first));
+        }
+        assert_eq!(Arc::strong_count(&first), 2, "the slot and `first` only");
     }
 
     #[test]
