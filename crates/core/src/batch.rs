@@ -21,7 +21,15 @@
 //! [`ReplicaBatch::new`] / [`VoterBatch::new`], or a churned one whose
 //! epoch-boundary hook evolves the graph for every replica at once (see
 //! [`crate::Topology`]). The drivers treat a static graph as churn rate
-//! 0, so there is one retirement loop per state kind.
+//! 0.
+//!
+//! [`ReplicaBatch::run_until_converged`], [`VoterBatch::run_to_consensus`]
+//! and [`crate::ConvergeWindow`] share one retirement routine and one
+//! block runner (in `kernel.rs`). This module supplies their two row
+//! kinds: `Averaging` (a `ReplicaBatch`'s value rows and RNGs plus the
+//! stopping check and the exact rule's trackers) and the `VoterBatch`
+//! itself (opinion rows, discord counts, RNGs). The batch drivers admit
+//! every replica at round 0 and restore canonical slot order at the end.
 //!
 //! [`StepKernel`]: crate::StepKernel
 
@@ -31,10 +39,10 @@ use crate::engine::{
 };
 use crate::error::CoreError;
 use crate::kernel::{
-    compact_retired, count_discordant_edges, restore_slot_order, run_replica_block_parallel,
-    run_steps, run_voter_block_parallel, run_voter_steps_tracked, slice_average,
+    count_discordant_edges, retire_all, run_steps, run_voter_steps_tracked, slice_average,
     slice_potential_and_mean, slice_potential_pi, slice_weighted_average, swap_rows,
-    validate_values, BlockCheck, BlockOutcome, KernelSpec, PotentialTracker,
+    validate_values, AveragingRows, BlockCheck, BlockOutcome, KernelSpec, PotentialTracker,
+    RetiringRows, VoterRows,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -66,11 +74,11 @@ use rand::SeedableRng;
 pub struct ReplicaBatch<'g> {
     topology: Topology<'g>,
     spec: KernelSpec,
-    n: usize,
+    pub(crate) n: usize,
     /// Replica-major `R × n` value storage: replica `r` occupies
     /// `values[r*n .. (r+1)*n]`.
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
+    pub(crate) values: Vec<f64>,
+    pub(crate) rngs: Vec<StdRng>,
     sample: Vec<NodeId>,
     perm: Vec<u32>,
     time: u64,
@@ -258,126 +266,35 @@ impl<'g> ReplicaBatch<'g> {
         config: ConvergeConfig,
     ) -> Result<Vec<ConvergenceReport>, CoreError> {
         config.validate()?;
-        let churned = self.topology.is_churned();
         let exact = config.stop == StopRule::Exact;
-        if exact && churned {
+        if exact && self.topology.is_churned() {
             return Err(CoreError::ExactStopUnderChurn);
         }
-        let r_total = self.replicas();
         let n = self.n;
-        let mut reports = vec![ConvergenceReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
-        let spec = self.spec;
-        let check_every = config.resolved_check_every(n);
-        let threads = config.resolved_threads();
         let pi: Vec<f64> = if exact {
             self.topology.graph().stationary_distribution()
         } else {
             Vec::new()
         };
         let mut trackers: Vec<PotentialTracker> = if exact {
-            (0..r_total)
-                .map(|r| {
-                    PotentialTracker::new(&pi, &self.values[r * n..(r + 1) * n], config.potential)
-                })
-                .collect()
+            let track = |row: &[f64]| PotentialTracker::new(&pi, row, config.potential);
+            self.values.chunks_exact(n).map(track).collect()
         } else {
             Vec::new()
         };
-        let check = if exact {
-            BlockCheck::Tracked {
-                epsilon: config.epsilon,
-                pi: &pi,
-            }
-        } else {
-            BlockCheck::Boundary {
-                epsilon: config.epsilon,
-                kind: config.potential,
-            }
-        };
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut blocks = vec![0u64; r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        // The first pass is a zero-step block: the scalar rule checks φ
-        // before the first step, so already-converged replicas retire
-        // with zero steps.
-        let mut block = 0u64;
-        let result = loop {
-            // Under churn a block steps unchecked, the epoch hook churns,
-            // and a zero-step pass checks φ on the post-churn topology.
-            let epoch = churned && block > 0;
-            blocks[..live].fill(block);
-            run_replica_block_parallel(
-                self.topology.graph(),
-                spec,
-                if epoch { &BlockCheck::None } else { &check },
-                n,
-                &mut self.values,
-                &mut self.rngs,
-                &mut trackers,
-                &mut outcomes[..live],
-                &blocks,
-                threads,
-            );
-            if epoch {
-                if let Err(err) = self.topology.end_epoch(Some(spec)) {
-                    t_call += block;
-                    break Err(err);
-                }
-                blocks[..live].fill(0);
-                run_replica_block_parallel(
-                    self.topology.graph(),
-                    spec,
-                    &check,
-                    n,
-                    &mut self.values,
-                    &mut self.rngs,
-                    &mut trackers,
-                    &mut outcomes[..live],
-                    &blocks,
-                    threads,
-                );
-                outcomes[..live].iter_mut().for_each(|o| o.steps = block);
-            }
-            let mutations = self.topology.mutations();
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = ConvergenceReport {
-                    steps: t_call + outcome.steps,
-                    converged: outcome.converged,
-                    potential: outcome.potential,
-                    weighted_average: outcome.weighted_average,
-                    mutations,
-                };
-            }
-            t_call += block;
-            let values = &mut self.values;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-                if exact {
-                    trackers.swap(a, b);
-                }
-            });
-            if live == 0 || t_call >= config.max_steps {
-                break Ok(());
-            }
-            block = check_every.min(config.max_steps - t_call);
-        };
-        self.time += t_call;
-
-        // Put the storage back in canonical replica order.
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(values, n, a, b);
-            rngs.swap(a, b);
-        });
+        let mut reports = vec![ConvergenceReport::default(); self.replicas()];
+        let (elapsed, result) = retire_all(
+            &mut Averaging {
+                batch: self,
+                check: BlockCheck::new(&config, &pi),
+                trackers: &mut trackers,
+            },
+            &mut reports,
+            config.resolved_check_every(n),
+            config.max_steps,
+            config.resolved_threads(),
+        );
+        self.time += elapsed;
         result.map(|()| reports)
     }
 
@@ -544,21 +461,6 @@ impl<'g> VoterBatch<'g> {
         self.end_epoch(self.replicas())
     }
 
-    /// The epoch hook plus the discord recount of the first `live` slots.
-    fn end_epoch(&mut self, live: usize) -> Result<u64, CoreError> {
-        let applied = self.topology.end_epoch(None)?;
-        if applied > 0 {
-            let graph = self.topology.graph();
-            for (slot, discord) in self.discord[..live].iter_mut().enumerate() {
-                *discord = count_discordant_edges(
-                    graph,
-                    &self.opinions[slot * self.n..(slot + 1) * self.n],
-                );
-            }
-        }
-        Ok(applied)
-    }
-
     /// Whether replica `r` has reached consensus. The O(1) discord count
     /// screens out the common case; zero discord implies consensus only
     /// on a *connected* graph, which churn does not guarantee, so a zero
@@ -618,89 +520,128 @@ impl<'g> VoterBatch<'g> {
         check_every: u64,
         threads: usize,
     ) -> Result<Vec<VoterReport>, CoreError> {
-        let r_total = self.replicas();
-        let n = self.n;
-        let mut reports = vec![VoterReport::default(); r_total];
-        if r_total == 0 {
-            return Ok(reports);
-        }
-        let churned = self.topology.is_churned();
-        let check_every = resolve_check_every(check_every, n);
-        let threads = resolve_threads(threads);
-        let mut slot_replica: Vec<usize> = (0..r_total).collect();
-        let mut outcomes = vec![BlockOutcome::default(); r_total];
-        let mut live = r_total;
-        let mut t_call = 0u64;
-        // Zero-step first pass: consensus is checked before the first
-        // step, mirroring the scalar driver.
-        let mut block = 0u64;
-        let result = loop {
-            let epoch = churned && block > 0;
-            run_voter_block_parallel(
-                self.topology.graph(),
-                n,
-                &mut self.opinions,
-                &mut self.discord,
-                &mut self.rngs,
-                &mut outcomes[..live],
-                block,
-                !churned,
-                threads,
-            );
-            if epoch {
-                if let Err(err) = self.end_epoch(live) {
-                    t_call += block;
-                    break Err(err);
-                }
-                // The post-churn check is O(live) away from consensus:
-                // run it inline.
-                run_voter_block_parallel(
-                    self.topology.graph(),
-                    n,
-                    &mut self.opinions,
-                    &mut self.discord,
-                    &mut self.rngs,
-                    &mut outcomes[..live],
-                    0,
-                    false,
-                    1,
-                );
-                outcomes[..live].iter_mut().for_each(|o| o.steps = block);
-            }
-            let mutations = self.topology.mutations();
-            for slot in 0..live {
-                let outcome = outcomes[slot];
-                reports[slot_replica[slot]] = VoterReport {
-                    steps: t_call + outcome.steps,
-                    winner: outcome.converged.then(|| self.opinions[slot * n]),
-                    mutations,
-                };
-            }
-            t_call += block;
-            let opinions = &mut self.opinions;
-            let discord = &mut self.discord;
-            let rngs = &mut self.rngs;
-            live = compact_retired(live, &mut outcomes, &mut slot_replica, |a, b| {
-                swap_rows(opinions, n, a, b);
-                discord.swap(a, b);
-                rngs.swap(a, b);
-            });
-            if live == 0 || t_call >= max_steps {
-                break Ok(());
-            }
-            block = check_every.min(max_steps - t_call);
-        };
-        self.time += t_call;
-
-        let opinions = &mut self.opinions;
-        let discord = &mut self.discord;
-        let rngs = &mut self.rngs;
-        restore_slot_order(&mut slot_replica, |a, b| {
-            swap_rows(opinions, n, a, b);
-            discord.swap(a, b);
-            rngs.swap(a, b);
-        });
+        let mut reports = vec![VoterReport::default(); self.replicas()];
+        let (elapsed, result) = retire_all(
+            self,
+            &mut reports,
+            resolve_check_every(check_every, self.n),
+            max_steps,
+            resolve_threads(threads),
+        );
+        self.time += elapsed;
         result.map(|()| reports)
+    }
+}
+
+/// The voter row kind: the batch's own opinion rows, discord counts and
+/// RNGs over its topology.
+impl RetiringRows for VoterBatch<'_> {
+    type Report = VoterReport;
+    type Rows<'s>
+        = VoterRows<'s>
+    where
+        Self: 's;
+
+    fn churned(&self) -> bool {
+        self.topology.is_churned()
+    }
+
+    fn rows(&mut self, _checked: bool) -> VoterRows<'_> {
+        VoterRows {
+            graph: self.topology.graph(),
+            n: self.n,
+            opinions: &mut self.opinions,
+            discord: &mut self.discord,
+            rngs: &mut self.rngs,
+            stop_at_consensus: !self.topology.is_churned(),
+        }
+    }
+
+    /// The epoch hook plus the discord recount of the first `live` slots.
+    fn end_epoch(&mut self, live: usize) -> Result<u64, CoreError> {
+        let applied = self.topology.end_epoch(None)?;
+        if applied > 0 {
+            let rows = self.opinions.chunks_exact(self.n);
+            for (discord, row) in self.discord[..live].iter_mut().zip(rows) {
+                *discord = count_discordant_edges(self.topology.graph(), row);
+            }
+        }
+        Ok(applied)
+    }
+
+    fn report(&self, slot: usize, steps: u64, outcome: BlockOutcome) -> VoterReport {
+        VoterReport {
+            steps,
+            winner: outcome.converged.then(|| self.opinions[slot * self.n]),
+            mutations: self.topology.mutations(),
+        }
+    }
+
+    fn swap_slots(&mut self, a: usize, b: usize) {
+        swap_rows(&mut self.opinions, self.n, a, b);
+        self.discord.swap(a, b);
+        self.rngs.swap(a, b);
+    }
+}
+
+/// The averaging row kind: a [`ReplicaBatch`]'s value rows, RNGs and
+/// topology (a [`crate::ConvergeWindow`] keeps one as its slot storage),
+/// plus the stopping check and the exact rule's trackers (empty
+/// otherwise).
+pub(crate) struct Averaging<'a, 'g> {
+    pub batch: &'a mut ReplicaBatch<'g>,
+    pub check: BlockCheck<'a>,
+    pub trackers: &'a mut [PotentialTracker],
+}
+
+impl RetiringRows for Averaging<'_, '_> {
+    type Report = ConvergenceReport;
+    type Rows<'s>
+        = AveragingRows<'s>
+    where
+        Self: 's;
+
+    fn churned(&self) -> bool {
+        self.batch.topology.is_churned()
+    }
+
+    fn rows(&mut self, checked: bool) -> AveragingRows<'_> {
+        let batch = &mut *self.batch;
+        AveragingRows {
+            graph: batch.topology.graph(),
+            spec: batch.spec,
+            check: if checked {
+                &self.check
+            } else {
+                &BlockCheck::None
+            },
+            n: batch.n,
+            values: &mut batch.values,
+            rngs: &mut batch.rngs,
+            trackers: &mut *self.trackers,
+        }
+    }
+
+    fn end_epoch(&mut self, _live: usize) -> Result<u64, CoreError> {
+        self.batch.topology.end_epoch(Some(self.batch.spec))
+    }
+
+    fn report(&self, _slot: usize, steps: u64, outcome: BlockOutcome) -> ConvergenceReport {
+        ConvergenceReport {
+            steps,
+            converged: outcome.converged,
+            potential: outcome.potential,
+            weighted_average: outcome.weighted_average,
+            mutations: self.batch.topology.mutations(),
+        }
+    }
+
+    fn swap_slots(&mut self, a: usize, b: usize) {
+        swap_rows(&mut self.batch.values, self.batch.n, a, b);
+        self.batch.rngs.swap(a, b);
+        if !self.trackers.is_empty() {
+            self.trackers.swap(a, b);
+        }
     }
 }
 

@@ -432,7 +432,7 @@ mod tests {
             }
         }
 
-        for threads in [1usize, 4] {
+        for threads in [1usize, 2, 3, 4, 17] {
             let mut engine = make();
             let config = ConvergeConfig::new(eps, max_epochs * steps_per_epoch)
                 .with_check_every(steps_per_epoch)
@@ -563,7 +563,7 @@ mod tests {
                     per_trial_voter_reference(&g, &ops0, s, &churn, 55, steps_per_epoch, max_epochs)
                 })
                 .collect();
-            for threads in [1usize, 3] {
+            for threads in [1usize, 2, 3, 17] {
                 let topology = churned(&g, churn.clone(), 55);
                 let mut batch = VoterBatch::with_topology(topology, &ops0, &seeds).unwrap();
                 let reports = batch

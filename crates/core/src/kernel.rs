@@ -24,7 +24,7 @@
 //! [`OpinionProcess`]: crate::OpinionProcess
 //! [`OpinionState`]: crate::OpinionState
 
-use crate::engine::PotentialKind;
+use crate::engine::{ConvergeConfig, PotentialKind, StopRule};
 use crate::error::CoreError;
 use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
@@ -628,22 +628,36 @@ pub(crate) fn run_voter_steps_tracked_until<R: RngCore + ?Sized>(
     }
 }
 
-/// Outcome of stepping one replica through one convergence block.
+/// Outcome of stepping one slot through one block.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BlockOutcome {
     /// Steps actually taken within the block (less than the block length
-    /// only when a tracked replica crossed the threshold mid-block).
+    /// only when a slot stopped mid-block: a tracked replica crossing the
+    /// threshold, or a static voter replica reaching consensus).
     pub steps: u64,
-    /// `φ` after the last step taken (`NaN` under [`BlockCheck::None`]).
+    /// `φ` after the last step taken (`NaN` under [`BlockCheck::None`]
+    /// and for voter rows).
     pub potential: f64,
     /// `M(t) = Σ π_u ξ_u(t)` after the last step taken — the `F` estimate
     /// when converged. Tracker-based under [`BlockCheck::Tracked`]
     /// (bit-identical to `OpinionState::weighted_average`), the fused
     /// first pass of the `φ` evaluation under [`BlockCheck::Boundary`],
-    /// `NaN` under [`BlockCheck::None`].
+    /// `NaN` under [`BlockCheck::None`] and for voter rows.
     pub weighted_average: f64,
-    /// Whether the replica satisfied `φ ≤ ε` within the block.
+    /// Whether the slot met its stopping condition within the block.
     pub converged: bool,
+}
+
+impl BlockOutcome {
+    /// An outcome without potential readings.
+    fn unchecked(steps: u64, converged: bool) -> Self {
+        BlockOutcome {
+            steps,
+            potential: f64::NAN,
+            weighted_average: f64::NAN,
+            converged,
+        }
+    }
 }
 
 /// How a convergence block detects the ε-threshold.
@@ -668,294 +682,378 @@ pub(crate) enum BlockCheck<'a> {
     },
 }
 
-/// Steps one replica through one block under `check`.
-#[allow(clippy::too_many_arguments)]
-// private leaf of the block runners
-// Invariant-backed: the `expect` messages state why each cannot fire.
-#[allow(clippy::expect_used)]
-fn converge_replica_block(
-    graph: &Graph,
-    spec: KernelSpec,
-    check: &BlockCheck<'_>,
-    values: &mut [f64],
-    tracker: Option<&mut PotentialTracker>,
-    sample: &mut Vec<NodeId>,
-    perm: &mut Vec<u32>,
-    block: u64,
-    rng: &mut StdRng,
-) -> BlockOutcome {
-    match check {
-        BlockCheck::None => {
-            run_steps(graph, spec, values, sample, perm, block, rng);
-            BlockOutcome {
-                steps: block,
-                potential: f64::NAN,
-                weighted_average: f64::NAN,
-                converged: false,
-            }
-        }
-        BlockCheck::Boundary { epsilon, kind } => {
-            run_steps(graph, spec, values, sample, perm, block, rng);
-            let (potential, weighted_average) = match kind {
-                PotentialKind::Pi => slice_potential_and_mean(graph, values),
-                PotentialKind::Uniform => slice_potential_uniform_and_mean(values),
-            };
-            BlockOutcome {
-                steps: block,
-                potential,
-                weighted_average,
-                converged: potential <= *epsilon,
-            }
-        }
-        BlockCheck::Tracked { epsilon, pi } => {
-            let tracker = tracker.expect("tracked block without a tracker");
-            let (steps, converged) = run_steps_tracked_until(
-                graph, spec, pi, values, tracker, sample, perm, block, *epsilon, rng,
-            );
-            BlockOutcome {
-                steps,
-                potential: tracker.potential_pi(),
-                weighted_average: tracker.weighted_average(),
-                converged,
-            }
+impl<'a> BlockCheck<'a> {
+    /// The check `config.stop` selects; `pi` is the stationary
+    /// distribution the tracked rule needs (unused by the boundary rule).
+    pub(crate) fn new(config: &ConvergeConfig, pi: &'a [f64]) -> Self {
+        match config.stop {
+            StopRule::Block => BlockCheck::Boundary {
+                epsilon: config.epsilon,
+                kind: config.potential,
+            },
+            StopRule::Exact => BlockCheck::Tracked {
+                epsilon: config.epsilon,
+                pi,
+            },
         }
     }
 }
 
-/// Advances the first `outcomes.len()` (live) replicas of a replica-major
-/// buffer by one convergence block, in parallel. `blocks[slot]` is the
-/// block length of slot `slot` — the batched drivers pass a uniform fill,
-/// while the streaming runner ([`crate::run_converge_streaming`]) hands
-/// freshly admitted replicas a zero-length entry block and budget-capped
-/// stragglers their personal remainder.
+/// A contiguous range of slots of one row kind: what
+/// [`run_block_parallel`] hands each worker. Slot `i` of the range owns
+/// row `i` of every per-slot array, so ranges split off with
+/// [`BlockRows::split_at`] are disjoint.
+pub(crate) trait BlockRows: Sized + Send {
+    /// Splits off the first `slots` slots.
+    fn split_at(self, slots: usize) -> (Self, Self);
+    /// Steps slot `i` through `blocks[i]` steps for every `i <
+    /// outcomes.len()`, recording `outcomes[i]`.
+    fn run(self, outcomes: &mut [BlockOutcome], blocks: &[u64]);
+}
+
+/// Averaging rows: value rows, RNGs, the exact rule's trackers (empty
+/// otherwise) and the block's stopping check.
+pub(crate) struct AveragingRows<'a> {
+    pub graph: &'a Graph,
+    pub spec: KernelSpec,
+    pub check: &'a BlockCheck<'a>,
+    pub n: usize,
+    pub values: &'a mut [f64],
+    pub rngs: &'a mut [StdRng],
+    pub trackers: &'a mut [PotentialTracker],
+}
+
+impl BlockRows for AveragingRows<'_> {
+    fn split_at(self, slots: usize) -> (Self, Self) {
+        let (values, values_rest) = self.values.split_at_mut(slots * self.n);
+        let (rngs, rngs_rest) = self.rngs.split_at_mut(slots);
+        let tracked = if self.trackers.is_empty() { 0 } else { slots };
+        let (trackers, trackers_rest) = self.trackers.split_at_mut(tracked);
+        (
+            AveragingRows {
+                values,
+                rngs,
+                trackers,
+                ..self
+            },
+            AveragingRows {
+                values: values_rest,
+                rngs: rngs_rest,
+                trackers: trackers_rest,
+                ..self
+            },
+        )
+    }
+
+    fn run(self, outcomes: &mut [BlockOutcome], blocks: &[u64]) {
+        let AveragingRows {
+            graph,
+            spec,
+            check,
+            n,
+            values,
+            rngs,
+            trackers,
+        } = self;
+        let (sample, perm) = &mut spec.scratch(graph);
+        for (slot, (outcome, &block)) in outcomes.iter_mut().zip(blocks).enumerate() {
+            let values = &mut values[slot * n..(slot + 1) * n];
+            let rng = &mut rngs[slot];
+            *outcome = match check {
+                BlockCheck::None => {
+                    run_steps(graph, spec, values, sample, perm, block, rng);
+                    BlockOutcome::unchecked(block, false)
+                }
+                BlockCheck::Boundary { epsilon, kind } => {
+                    run_steps(graph, spec, values, sample, perm, block, rng);
+                    let (potential, weighted_average) = match kind {
+                        PotentialKind::Pi => slice_potential_and_mean(graph, values),
+                        PotentialKind::Uniform => slice_potential_uniform_and_mean(values),
+                    };
+                    BlockOutcome {
+                        steps: block,
+                        potential,
+                        weighted_average,
+                        converged: potential <= *epsilon,
+                    }
+                }
+                BlockCheck::Tracked { epsilon, pi } => {
+                    let tracker = &mut trackers[slot];
+                    let (steps, converged) = run_steps_tracked_until(
+                        graph, spec, pi, values, tracker, sample, perm, block, *epsilon, rng,
+                    );
+                    BlockOutcome {
+                        steps,
+                        potential: tracker.potential_pi(),
+                        weighted_average: tracker.weighted_average(),
+                        converged,
+                    }
+                }
+            };
+        }
+    }
+}
+
+/// Voter rows: opinion rows, discordant-edge counts and RNGs. With
+/// `stop_at_consensus` each slot stops at its exact consensus step (the
+/// O(1) discord check before every step — the static driver); without it
+/// every slot steps the **full** block and consensus (zero discord
+/// confirmed by an O(n) scan, since churn may disconnect the graph) is
+/// judged at its end — the churned driver, whose epoch-granular stopping
+/// must replay the identical RNG stream through consensus and through
+/// frozen zero-discord states churn may later thaw.
+pub(crate) struct VoterRows<'a> {
+    pub graph: &'a Graph,
+    pub n: usize,
+    pub opinions: &'a mut [u32],
+    pub discord: &'a mut [u64],
+    pub rngs: &'a mut [StdRng],
+    pub stop_at_consensus: bool,
+}
+
+impl BlockRows for VoterRows<'_> {
+    fn split_at(self, slots: usize) -> (Self, Self) {
+        let (opinions, opinions_rest) = self.opinions.split_at_mut(slots * self.n);
+        let (discord, discord_rest) = self.discord.split_at_mut(slots);
+        let (rngs, rngs_rest) = self.rngs.split_at_mut(slots);
+        (
+            VoterRows {
+                opinions,
+                discord,
+                rngs,
+                ..self
+            },
+            VoterRows {
+                opinions: opinions_rest,
+                discord: discord_rest,
+                rngs: rngs_rest,
+                ..self
+            },
+        )
+    }
+
+    fn run(self, outcomes: &mut [BlockOutcome], blocks: &[u64]) {
+        let n = self.n;
+        for (slot, (outcome, &block)) in outcomes.iter_mut().zip(blocks).enumerate() {
+            let opinions = &mut self.opinions[slot * n..(slot + 1) * n];
+            let discord = &mut self.discord[slot];
+            let rng = &mut self.rngs[slot];
+            let (steps, converged) = if self.stop_at_consensus {
+                run_voter_steps_tracked_until(self.graph, opinions, discord, block, rng)
+            } else {
+                run_voter_steps_tracked(self.graph, opinions, discord, block, rng);
+                (
+                    block,
+                    *discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
+                )
+            };
+            *outcome = BlockOutcome::unchecked(steps, converged);
+        }
+    }
+}
+
+/// The one block runner of the retiring drivers: advances the first
+/// `outcomes.len()` (live) slots of `rows`, slot `i` by `blocks[i]`
+/// steps. The batched drivers schedule a uniform block, while
+/// [`crate::ConvergeWindow`] hands freshly admitted slots a zero-length
+/// entry block and budget-capped stragglers their personal remainder.
 ///
 /// The live prefix is partitioned into contiguous per-worker ranges and
 /// stepped under `std::thread::scope`; each worker owns its own sampling
-/// scratch, and every replica draws only from its own RNG and reads only
+/// scratch, and every slot draws only from its own RNG and touches only
 /// its own row, so the result is **independent of the thread count and of
 /// the partition** — bit for bit. With `threads <= 1` (or a single live
-/// replica) everything runs inline on the calling thread.
-///
-/// `trackers` must hold one tracker per live replica under
-/// [`BlockCheck::Tracked`] and may be empty otherwise.
-#[allow(clippy::too_many_arguments)] // shared leaf of the batched drivers
-pub(crate) fn run_replica_block_parallel(
-    graph: &Graph,
-    spec: KernelSpec,
-    check: &BlockCheck<'_>,
-    n: usize,
-    values: &mut [f64],
-    rngs: &mut [StdRng],
-    trackers: &mut [PotentialTracker],
+/// slot) everything runs inline on the calling thread.
+pub(crate) fn run_block_parallel<R: BlockRows>(
+    rows: R,
     outcomes: &mut [BlockOutcome],
     blocks: &[u64],
     threads: usize,
 ) {
     let live = outcomes.len();
-    debug_assert!(rngs.len() >= live);
-    debug_assert!(blocks.len() >= live);
-    debug_assert!(values.len() >= live * n);
     let workers = threads.clamp(1, live.max(1));
     if workers <= 1 {
-        let (mut sample, mut perm) = spec.scratch(graph);
-        for (slot, outcome) in outcomes.iter_mut().enumerate() {
-            *outcome = converge_replica_block(
-                graph,
-                spec,
-                check,
-                &mut values[slot * n..(slot + 1) * n],
-                trackers.get_mut(slot),
-                &mut sample,
-                &mut perm,
-                blocks[slot],
-                &mut rngs[slot],
-            );
-        }
-        return;
+        return rows.run(outcomes, blocks);
     }
     let base = live / workers;
     let extra = live % workers;
     std::thread::scope(|scope| {
-        let mut values = &mut values[..live * n];
-        let mut rngs = &mut rngs[..live];
-        let mut trackers = trackers;
-        let mut outcomes = outcomes;
-        let mut blocks = &blocks[..live];
+        let (mut rows, mut outcomes, mut blocks) = (rows, outcomes, &blocks[..live]);
         for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (v, rest) = values.split_at_mut(cnt * n);
-            values = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            let (o, rest) = outcomes.split_at_mut(cnt);
+            let count = base + usize::from(w < extra);
+            let (head, rest) = rows.split_at(count);
+            rows = rest;
+            let (o, rest) = outcomes.split_at_mut(count);
             outcomes = rest;
-            let (bl, rest) = blocks.split_at(cnt);
+            let (b, rest) = blocks.split_at(count);
             blocks = rest;
-            let t_cnt = if trackers.is_empty() { 0 } else { cnt };
-            let (t, rest) = trackers.split_at_mut(t_cnt);
-            trackers = rest;
-            scope.spawn(move || {
-                let (mut sample, mut perm) = spec.scratch(graph);
-                for (i, outcome) in o.iter_mut().enumerate() {
-                    *outcome = converge_replica_block(
-                        graph,
-                        spec,
-                        check,
-                        &mut v[i * n..(i + 1) * n],
-                        t.get_mut(i),
-                        &mut sample,
-                        &mut perm,
-                        bl[i],
-                        &mut r[i],
-                    );
-                }
-            });
+            scope.spawn(move || head.run(o, b));
         }
     });
 }
 
-/// Voter sibling of [`run_replica_block_parallel`]: advances the live
-/// prefix of a voter batch by one block. With `stop_at_consensus` each
-/// replica stops at its exact consensus step (the O(1) discord check
-/// before every step — the static driver); without it every replica steps
-/// the **full** block and consensus (zero discord confirmed by an O(n)
-/// scan, since churn may disconnect the graph) is judged at its end — the
-/// churned driver, whose epoch-granular stopping must replay the identical
-/// RNG stream through consensus and through frozen zero-discord states
-/// churn may later thaw. Same thread-count independence argument
-/// (per-replica RNGs, disjoint rows).
-#[allow(clippy::too_many_arguments)] // shared leaf of the voter driver
-pub(crate) fn run_voter_block_parallel(
-    graph: &Graph,
-    n: usize,
-    opinions: &mut [u32],
-    discords: &mut [u64],
-    rngs: &mut [StdRng],
-    outcomes: &mut [BlockOutcome],
-    block: u64,
-    stop_at_consensus: bool,
+/// One row kind as the retirement routine sees it: the per-slot storage
+/// and topology of [`crate::ReplicaBatch`] / [`crate::ConvergeWindow`]
+/// (averaging) or [`crate::VoterBatch`] (voter).
+pub(crate) trait RetiringRows {
+    /// The per-trial report the routine writes back.
+    type Report;
+    /// The view [`run_block_parallel`] steps.
+    type Rows<'s>: BlockRows
+    where
+        Self: 's;
+    /// Whether epoch boundaries churn the topology.
+    fn churned(&self) -> bool;
+    /// The rows of every slot; `checked` is false for an epoch's steps,
+    /// whose check waits for the post-churn topology.
+    fn rows(&mut self, checked: bool) -> Self::Rows<'_>;
+    /// The epoch hook, with the first `live` slots in use.
+    fn end_epoch(&mut self, live: usize) -> Result<u64, CoreError>;
+    /// The report of `slot` after `steps` total steps.
+    fn report(&self, slot: usize, steps: u64, outcome: BlockOutcome) -> Self::Report;
+    /// Swaps the storage of slots `a` and `b`.
+    fn swap_slots(&mut self, a: usize, b: usize);
+}
+
+/// The one retirement routine: per-slot bookkeeping of a retiring
+/// driver. Slots `..live` run trials `slot_trial[..live]`, each having
+/// taken `taken[slot]` of its `max_steps` budget with `blocks[slot]`
+/// scheduled next; blocks run on `threads` workers.
+#[derive(Debug, Clone)]
+pub(crate) struct Retirement {
+    pub slot_trial: Vec<usize>,
+    pub taken: Vec<u64>,
+    pub blocks: Vec<u64>,
+    outcomes: Vec<BlockOutcome>,
+    pub live: usize,
+    pub check_every: u64,
+    max_steps: u64,
     threads: usize,
-) {
-    let live = outcomes.len();
-    let run_one = |opinions: &mut [u32], discord: &mut u64, rng: &mut StdRng| {
-        let (steps, converged) = if stop_at_consensus {
-            run_voter_steps_tracked_until(graph, opinions, discord, block, rng)
-        } else {
-            run_voter_steps_tracked(graph, opinions, discord, block, rng);
-            (
-                block,
-                *discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
-            )
-        };
-        BlockOutcome {
-            steps,
-            potential: *discord as f64,
-            weighted_average: f64::NAN,
-            converged,
-        }
-    };
-    let workers = threads.clamp(1, live.max(1));
-    if workers <= 1 {
-        for (slot, outcome) in outcomes.iter_mut().enumerate() {
-            *outcome = run_one(
-                &mut opinions[slot * n..(slot + 1) * n],
-                &mut discords[slot],
-                &mut rngs[slot],
-            );
-        }
-        return;
-    }
-    let base = live / workers;
-    let extra = live % workers;
-    std::thread::scope(|scope| {
-        let mut opinions = &mut opinions[..live * n];
-        let mut discords = &mut discords[..live];
-        let mut rngs = &mut rngs[..live];
-        let mut outcomes = outcomes;
-        for w in 0..workers {
-            let cnt = base + usize::from(w < extra);
-            if cnt == 0 {
-                break;
-            }
-            let (ops, rest) = opinions.split_at_mut(cnt * n);
-            opinions = rest;
-            let (d, rest) = discords.split_at_mut(cnt);
-            discords = rest;
-            let (r, rest) = rngs.split_at_mut(cnt);
-            rngs = rest;
-            let (o, rest) = outcomes.split_at_mut(cnt);
-            outcomes = rest;
-            scope.spawn(move || {
-                for (i, outcome) in o.iter_mut().enumerate() {
-                    *outcome = run_one(&mut ops[i * n..(i + 1) * n], &mut d[i], &mut r[i]);
-                }
-            });
-        }
-    });
 }
 
-/// Swaps rows `a` and `b` of a row-major `R × n` buffer (the compaction
-/// primitive of the batched convergence drivers).
-pub(crate) fn swap_rows<T>(buf: &mut [T], n: usize, a: usize, b: usize) {
-    if a == b {
-        return;
+impl Retirement {
+    /// Room for `capacity` slots, none live.
+    pub(crate) fn new(capacity: usize, check_every: u64, max_steps: u64, threads: usize) -> Self {
+        Retirement {
+            slot_trial: vec![0; capacity],
+            taken: vec![0; capacity],
+            blocks: vec![0; capacity],
+            outcomes: vec![BlockOutcome::default(); capacity],
+            live: 0,
+            check_every,
+            max_steps,
+            threads,
+        }
     }
+
+    /// Admits `trial` into the first free slot (returned) with a
+    /// zero-length entry block: the scalar rules check before the first
+    /// step, so trials starting stopped retire with zero steps.
+    pub(crate) fn admit(&mut self, trial: usize) -> usize {
+        let slot = self.live;
+        self.slot_trial[slot] = trial;
+        self.taken[slot] = 0;
+        self.blocks[slot] = 0;
+        self.live += 1;
+        slot
+    }
+
+    /// One round: run every live slot's block; under churn, call the
+    /// epoch hook and check again on the post-churn topology; write the
+    /// reports back; retire slots that stopped or spent their budget,
+    /// compacting the live prefix stably; and schedule each survivor's
+    /// next block as `check_every.min(max_steps − taken)`.
+    ///
+    /// # Errors
+    ///
+    /// The epoch hook's error, before any report of the round is written.
+    pub(crate) fn round<K: RetiringRows>(
+        &mut self,
+        rows: &mut K,
+        reports: &mut [K::Report],
+    ) -> Result<(), CoreError> {
+        let (live, max_steps, threads) = (self.live, self.max_steps, self.threads);
+        let outcomes = &mut self.outcomes[..live];
+        let blocks = &mut self.blocks[..live];
+        let taken = &mut self.taken[..live];
+        // Under churn a block steps unchecked, the epoch hook churns, and a
+        // zero-step pass checks on the post-churn topology.
+        let epoch = rows.churned() && blocks.iter().any(|&b| b > 0);
+        run_block_parallel(rows.rows(!epoch), outcomes, blocks, threads);
+        if epoch {
+            for (taken, outcome) in taken.iter_mut().zip(outcomes.iter()) {
+                *taken += outcome.steps;
+            }
+            rows.end_epoch(live)?;
+            blocks.fill(0);
+            run_block_parallel(rows.rows(true), outcomes, blocks, threads);
+        }
+        for slot in 0..live {
+            taken[slot] += outcomes[slot].steps;
+            reports[self.slot_trial[slot]] = rows.report(slot, taken[slot], outcomes[slot]);
+            // Budget-exhausted slots retire alongside stopped ones; the
+            // report above keeps the honest `converged: false`.
+            outcomes[slot].converged |= taken[slot] >= max_steps;
+        }
+        let mut write = 0;
+        for slot in 0..live {
+            if !self.outcomes[slot].converged {
+                if write != slot {
+                    self.slot_trial.swap(write, slot);
+                    self.taken.swap(write, slot);
+                    rows.swap_slots(write, slot);
+                }
+                write += 1;
+            }
+        }
+        self.live = write;
+        for slot in 0..write {
+            self.blocks[slot] = self.check_every.min(max_steps - self.taken[slot]);
+        }
+        Ok(())
+    }
+}
+
+/// The batched drivers' run: every trial admitted at round 0 (slot `r`
+/// runs trial `r`), rounds until all retire or the epoch hook fails, then
+/// the canonical slot order restored. Returns the steps the rounds
+/// spanned — the longest-lived slot's block time — and the outcome.
+pub(crate) fn retire_all<K: RetiringRows>(
+    rows: &mut K,
+    reports: &mut [K::Report],
+    check_every: u64,
+    max_steps: u64,
+    threads: usize,
+) -> (u64, Result<(), CoreError>) {
+    let mut retire = Retirement::new(reports.len(), check_every, max_steps, threads);
+    for trial in 0..reports.len() {
+        retire.admit(trial);
+    }
+    let mut elapsed = 0;
+    let mut result = Ok(());
+    while retire.live > 0 && result.is_ok() {
+        // Admitted together, every live slot runs the same block.
+        elapsed += retire.blocks[0];
+        result = retire.round(rows, reports);
+    }
+    // Undo the compaction permutation; each swap puts one trial home.
+    for slot in 0..reports.len() {
+        while retire.slot_trial[slot] != slot {
+            let home = retire.slot_trial[slot];
+            rows.swap_slots(slot, home);
+            retire.slot_trial.swap(slot, home);
+        }
+    }
+    (elapsed, result)
+}
+
+/// Swaps rows `a != b` of a row-major `R × n` buffer (the compaction
+/// primitive of the retiring drivers).
+pub(crate) fn swap_rows<T>(buf: &mut [T], n: usize, a: usize, b: usize) {
+    debug_assert_ne!(a, b);
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
     let (left, right) = buf.split_at_mut(hi * n);
     left[lo * n..(lo + 1) * n].swap_with_slice(&mut right[..n]);
-}
-
-/// One retirement + compaction sweep shared by the batched convergence
-/// drivers: stably partitions the live prefix so that slots whose
-/// [`BlockOutcome::converged`] flag is set move behind the new live
-/// boundary, swapping `outcomes` and `slot_replica` itself and delegating
-/// the driver-specific per-slot storage (value rows, RNGs, trackers,
-/// discord counts) to `swap_extra(a, b)`. Returns the new live count.
-/// Callers record reports from `outcomes` *before* compacting.
-pub(crate) fn compact_retired(
-    live: usize,
-    outcomes: &mut [BlockOutcome],
-    slot_replica: &mut [usize],
-    mut swap_extra: impl FnMut(usize, usize),
-) -> usize {
-    let mut write = 0;
-    for slot in 0..live {
-        if !outcomes[slot].converged {
-            if write != slot {
-                outcomes.swap(write, slot);
-                slot_replica.swap(write, slot);
-                swap_extra(write, slot);
-            }
-            write += 1;
-        }
-    }
-    write
-}
-
-/// Undoes the slot permutation left behind by retirement compaction:
-/// `slot_replica[slot]` names the replica currently stored in `slot`;
-/// after this returns, slot `r` holds replica `r` again. `swap(a, b)` must
-/// swap the *storage* of slots `a` and `b` (value rows, RNGs, any per-slot
-/// state). O(R) swaps.
-pub(crate) fn restore_slot_order(slot_replica: &mut [usize], mut swap: impl FnMut(usize, usize)) {
-    let r_total = slot_replica.len();
-    let mut pos_of = vec![0usize; r_total];
-    for (slot, &rep) in slot_replica.iter().enumerate() {
-        pos_of[rep] = slot;
-    }
-    for target in 0..r_total {
-        let src = pos_of[target];
-        if src != target {
-            swap(target, src);
-            let displaced = slot_replica[target];
-            slot_replica.swap(target, src);
-            pos_of[displaced] = src;
-            pos_of[target] = target;
-        }
-    }
 }
 
 /// Allocation-free step kernel for the averaging processes.

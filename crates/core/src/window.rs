@@ -9,6 +9,11 @@
 //! [`WindowCheckpoint`] between rounds and restorable later (in another
 //! process) without perturbing a single bit of the results.
 //!
+//! The window is a [`crate::ReplicaBatch`] used as slot storage plus an
+//! admission cursor: each round it refills free slots from the pending
+//! seeds, then runs one round of the retirement routine the batch drivers
+//! share (`kernel::Retirement`), on the same block runner.
+//!
 //! The bit-identity argument is the streaming runner's, plus one
 //! observation: everything a round reads is either immutable context
 //! (graph, spec, `ξ(0)`, seeds, config) or the captured loop state. The
@@ -27,44 +32,31 @@ use od_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use crate::batch::{Averaging, ReplicaBatch};
 use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
-use crate::kernel::{
-    compact_retired, run_replica_block_parallel, swap_rows, validate_values, BlockCheck,
-    BlockOutcome, KernelSpec, PotentialTracker, TrackerState,
-};
+use crate::kernel::{BlockCheck, KernelSpec, PotentialTracker, Retirement, TrackerState};
 
 /// A fixed-capacity streaming convergence window, advanced block round by
 /// block round. See the module docs; [`run_converge_streaming`] is the
 /// run-to-completion wrapper.
 #[derive(Debug, Clone)]
 pub struct ConvergeWindow<'g> {
-    graph: &'g Graph,
-    spec: KernelSpec,
+    /// The slot storage: `capacity × n` value rows (live prefix in use)
+    /// and one RNG per occupied slot.
+    batch: ReplicaBatch<'g>,
     xi0: Vec<f64>,
     seeds: Vec<u64>,
     config: ConvergeConfig,
-    n: usize,
     capacity: usize,
-    check_every: u64,
-    threads: usize,
     exact: bool,
     pi: Vec<f64>,
-    /// Replica-major `capacity × n` value storage (live prefix in use).
-    values: Vec<f64>,
-    rngs: Vec<StdRng>,
     trackers: Vec<PotentialTracker>,
-    /// Which trial each live slot is running.
-    slot_trial: Vec<usize>,
-    /// Steps each live slot's trial has taken so far.
-    taken: Vec<u64>,
-    /// Next block length per live slot (0 = entry check only).
-    blocks: Vec<u64>,
-    outcomes: Vec<BlockOutcome>,
+    /// Which trial each live slot runs, its steps so far and its next
+    /// block (0 = entry check only).
+    retire: Retirement,
     /// Admission cursor: index of the next pending seed.
     next: usize,
-    /// Number of occupied (live) slots.
-    live: usize,
     reports: Vec<ConvergenceReport>,
 }
 
@@ -86,21 +78,17 @@ impl<'g> ConvergeWindow<'g> {
         config: ConvergeConfig,
     ) -> Result<Self, CoreError> {
         config.validate()?;
-        validate_values(graph, xi0)?;
-        spec.validate(graph)?;
+        let mut batch = ReplicaBatch::new(graph, spec, xi0, &[])?;
         let n = xi0.len();
         let total = seeds.len();
         let capacity = capacity.clamp(1, total.max(1));
         let exact = config.stop == StopRule::Exact;
+        batch.values = vec![0.0f64; capacity * n];
         Ok(ConvergeWindow {
-            graph,
-            spec,
+            batch,
             xi0: xi0.to_vec(),
             seeds: seeds.to_vec(),
-            n,
             capacity,
-            check_every: config.resolved_check_every(n),
-            threads: config.resolved_threads(),
             exact,
             pi: if exact {
                 graph.stationary_distribution()
@@ -108,15 +96,14 @@ impl<'g> ConvergeWindow<'g> {
                 Vec::new()
             },
             config,
-            values: vec![0.0f64; capacity * n],
-            rngs: Vec::with_capacity(capacity),
             trackers: Vec::with_capacity(capacity),
-            slot_trial: vec![0usize; capacity],
-            taken: vec![0u64; capacity],
-            blocks: vec![0u64; capacity],
-            outcomes: vec![BlockOutcome::default(); capacity],
+            retire: Retirement::new(
+                capacity,
+                config.resolved_check_every(n),
+                config.max_steps,
+                config.resolved_threads(),
+            ),
             next: 0,
-            live: 0,
             reports: vec![ConvergenceReport::default(); total],
         })
     }
@@ -129,120 +116,58 @@ impl<'g> ConvergeWindow<'g> {
     /// Number of trials that have fully retired (their
     /// [`ConvergenceReport`] is final).
     pub fn completed(&self) -> usize {
-        self.next - self.live
+        self.next - self.retire.live
     }
 
     /// Whether every trial has retired.
     pub fn is_done(&self) -> bool {
-        self.live == 0 && self.next >= self.seeds.len()
+        self.retire.live == 0 && self.next >= self.seeds.len()
     }
 
-    /// Admits pending trials into the free suffix. Each starts with a
-    /// zero-length entry block — the scalar rule checks the potential
-    /// before the first step, so already-converged initial states retire
-    /// with zero steps, exactly like the batched driver.
+    /// Admits pending trials into the free suffix, each with a fresh
+    /// `ξ(0)` row, RNG and (exact rule) tracker, and a zero-length entry
+    /// block — so already-converged initial states retire with zero
+    /// steps, exactly like the batched driver.
     fn admit(&mut self) {
-        while self.live < self.capacity && self.next < self.seeds.len() {
-            let slot = self.live;
-            let row = slot * self.n..(slot + 1) * self.n;
-            self.values[row.clone()].copy_from_slice(&self.xi0);
-            let rng = StdRng::seed_from_u64(self.seeds[self.next]);
-            if slot < self.rngs.len() {
-                self.rngs[slot] = rng;
-            } else {
-                self.rngs.push(rng);
-            }
+        while self.retire.live < self.capacity && self.next < self.seeds.len() {
+            // Slots from `slot` on held retired trials: drop their RNGs
+            // and trackers so the new ones land at index `slot`.
+            let slot = self.retire.admit(self.next);
+            let row = &mut self.batch.values[slot * self.batch.n..(slot + 1) * self.batch.n];
+            row.copy_from_slice(&self.xi0);
+            self.batch.rngs.truncate(slot);
+            self.batch
+                .rngs
+                .push(StdRng::seed_from_u64(self.seeds[self.next]));
             if self.exact {
-                let tracker =
-                    PotentialTracker::new(&self.pi, &self.values[row], self.config.potential);
-                if slot < self.trackers.len() {
-                    self.trackers[slot] = tracker;
-                } else {
-                    self.trackers.push(tracker);
-                }
+                self.trackers.truncate(slot);
+                self.trackers
+                    .push(PotentialTracker::new(&self.pi, row, self.config.potential));
             }
-            self.slot_trial[slot] = self.next;
-            self.taken[slot] = 0;
-            self.blocks[slot] = 0;
-            self.live += 1;
             self.next += 1;
         }
     }
 
-    /// Advances the window by one block round: admit pending trials, step
-    /// every live slot through its scheduled block, record reports,
-    /// retire converged (and budget-exhausted) slots, and schedule the
-    /// survivors' next blocks. Returns `false` once every trial has
+    /// Advances the window by one block round: admit pending trials, then
+    /// one round of the retirement routine the batched drivers share
+    /// (step every live slot through its scheduled block, record reports,
+    /// retire converged and budget-exhausted slots, schedule the
+    /// survivors' next blocks). Returns `false` once every trial has
     /// retired (further calls are no-ops).
     pub fn run_block(&mut self) -> bool {
         self.admit();
-        if self.live == 0 {
+        if self.retire.live == 0 {
             return false;
         }
-        let check = if self.exact {
-            BlockCheck::Tracked {
-                epsilon: self.config.epsilon,
-                pi: &self.pi,
-            }
-        } else {
-            BlockCheck::Boundary {
-                epsilon: self.config.epsilon,
-                kind: self.config.potential,
-            }
-        };
-        run_replica_block_parallel(
-            self.graph,
-            self.spec,
-            &check,
-            self.n,
-            &mut self.values,
-            &mut self.rngs,
-            &mut self.trackers,
-            &mut self.outcomes[..self.live],
-            &self.blocks,
-            self.threads,
-        );
-        for slot in 0..self.live {
-            let outcome = self.outcomes[slot];
-            self.taken[slot] += outcome.steps;
-            self.reports[self.slot_trial[slot]] = ConvergenceReport {
-                steps: self.taken[slot],
-                converged: outcome.converged,
-                potential: outcome.potential,
-                weighted_average: outcome.weighted_average,
-                mutations: 0,
-            };
-            // Budget-exhausted trials retire alongside converged ones so
-            // their slot can be re-filled; the report above has already
-            // recorded the honest `converged: false`.
-            if !outcome.converged && self.taken[slot] >= self.config.max_steps {
-                self.outcomes[slot].converged = true;
-            }
-        }
-        let n = self.n;
-        let exact = self.exact;
-        let values = &mut self.values;
-        let rngs = &mut self.rngs;
-        let trackers = &mut self.trackers;
-        let taken = &mut self.taken;
-        self.live = compact_retired(
-            self.live,
-            &mut self.outcomes,
-            &mut self.slot_trial,
-            |a, b| {
-                swap_rows(values, n, a, b);
-                rngs.swap(a, b);
-                if exact {
-                    trackers.swap(a, b);
-                }
-                taken.swap(a, b);
+        let round = self.retire.round(
+            &mut Averaging {
+                batch: &mut self.batch,
+                check: BlockCheck::new(&self.config, &self.pi),
+                trackers: &mut self.trackers,
             },
+            &mut self.reports,
         );
-        for slot in 0..self.live {
-            self.blocks[slot] = self
-                .check_every
-                .min(self.config.max_steps - self.taken[slot]);
-        }
+        debug_assert!(round.is_ok(), "a static topology has no epoch hook");
         !self.is_done()
     }
 
@@ -278,26 +203,27 @@ impl<'g> ConvergeWindow<'g> {
     /// ([`ConvergeWindow::restore`]) and finishing produces reports
     /// bit-identical to the uninterrupted run.
     pub fn checkpoint(&self) -> WindowCheckpoint {
+        let live = self.retire.live;
         let mut live_trial = vec![false; self.seeds.len()];
-        for slot in 0..self.live {
-            live_trial[self.slot_trial[slot]] = true;
+        for &trial in &self.retire.slot_trial[..live] {
+            live_trial[trial] = true;
         }
         let done = (0..self.next)
             .filter(|&t| !live_trial[t])
             .map(|t| (t, self.reports[t]))
             .collect();
-        let slots = (0..self.live)
+        let slots = (0..live)
             .map(|slot| SlotState {
-                trial: self.slot_trial[slot],
-                taken: self.taken[slot],
-                block: self.blocks[slot],
-                rng: self.rngs[slot].state(),
+                trial: self.retire.slot_trial[slot],
+                taken: self.retire.taken[slot],
+                block: self.retire.blocks[slot],
+                rng: self.batch.rngs[slot].state(),
                 tracker: self.exact.then(|| self.trackers[slot].state()),
-                values: self.values[slot * self.n..(slot + 1) * self.n].to_vec(),
+                values: self.batch.replica_values(slot).to_vec(),
             })
             .collect();
         WindowCheckpoint {
-            n: self.n,
+            n: self.batch.n,
             capacity: self.capacity,
             total: self.seeds.len(),
             exact: self.exact,
@@ -318,7 +244,11 @@ impl<'g> ConvergeWindow<'g> {
     ///
     /// The [`ConvergeWindow::new`] errors, plus [`CoreError::Checkpoint`]
     /// when the checkpoint's shape (node count, capacity, trial count,
-    /// stopping-rule arm, cursor/slot consistency) does not match.
+    /// stopping-rule arm, cursor/slot consistency) does not match, when a
+    /// slot's bookkeeping breaks the budget (`taken > max_steps`, or a
+    /// next block longer than `check_every.min(max_steps − taken)`), or
+    /// when a trial id is out of range or appears twice among the slots
+    /// and `done` lines.
     pub fn restore(
         graph: &'g Graph,
         spec: KernelSpec,
@@ -329,34 +259,21 @@ impl<'g> ConvergeWindow<'g> {
         checkpoint: &WindowCheckpoint,
     ) -> Result<Self, CoreError> {
         let mut window = ConvergeWindow::new(graph, spec, xi0, seeds, capacity, config)?;
-        let mismatch = |what: &str, expected: String, got: String| {
-            Err(CoreError::Checkpoint(format!(
-                "{what} mismatch: window has {expected}, checkpoint has {got}"
-            )))
-        };
-        if checkpoint.n != window.n {
-            return mismatch("node count", window.n.to_string(), checkpoint.n.to_string());
-        }
-        if checkpoint.capacity != window.capacity {
-            return mismatch(
-                "capacity",
-                window.capacity.to_string(),
-                checkpoint.capacity.to_string(),
-            );
-        }
-        if checkpoint.total != window.seeds.len() {
-            return mismatch(
-                "trial count",
-                window.seeds.len().to_string(),
-                checkpoint.total.to_string(),
-            );
-        }
-        if checkpoint.exact != window.exact {
-            return mismatch(
-                "stop rule",
-                window.exact.to_string(),
-                checkpoint.exact.to_string(),
-            );
+        for (what, expected, got) in [
+            ("node count", window.batch.n, checkpoint.n),
+            ("capacity", window.capacity, checkpoint.capacity),
+            ("trial count", window.seeds.len(), checkpoint.total),
+            (
+                "exact stop rule",
+                window.exact.into(),
+                checkpoint.exact.into(),
+            ),
+        ] {
+            if expected != got {
+                return Err(CoreError::Checkpoint(format!(
+                    "{what} mismatch: window has {expected}, checkpoint has {got}"
+                )));
+            }
         }
         let live = checkpoint.slots.len();
         if live > window.capacity
@@ -368,44 +285,52 @@ impl<'g> ConvergeWindow<'g> {
                 "inconsistent cursor/slot/done counts".into(),
             ));
         }
+        // Admitted trials are exactly `0..next`, each live or done once.
+        let mut seen = vec![false; checkpoint.next];
+        let trials = checkpoint.slots.iter().map(|state| state.trial);
+        for trial in trials.chain(checkpoint.done.iter().map(|&(trial, _)| trial)) {
+            if trial >= checkpoint.next || std::mem::replace(&mut seen[trial], true) {
+                return Err(CoreError::Checkpoint(format!(
+                    "trial {trial} is not admitted or appears twice"
+                )));
+            }
+        }
+        let max_steps = config.max_steps;
         for (slot, state) in checkpoint.slots.iter().enumerate() {
-            if state.trial >= checkpoint.total || state.values.len() != window.n {
+            if state.values.len() != window.batch.n
+                || state.tracker.is_some() != window.exact
+                || state.taken > max_steps
+                || state.block > window.retire.check_every.min(max_steps - state.taken)
+            {
                 return Err(CoreError::Checkpoint(format!(
-                    "slot {slot} references trial {} with {} values",
-                    state.trial,
-                    state.values.len()
+                    "slot {slot} does not fit the window: {} values, tracker {}, \
+                     {} steps scheduled after {} of a {max_steps}-step budget",
+                    state.values.len(),
+                    state.tracker.is_some(),
+                    state.block,
+                    state.taken
                 )));
             }
-            if state.tracker.is_some() != window.exact {
-                return Err(CoreError::Checkpoint(format!(
-                    "slot {slot} tracker presence does not match the stop rule"
-                )));
-            }
-            window.values[slot * window.n..(slot + 1) * window.n].copy_from_slice(&state.values);
+            window.batch.values[slot * window.batch.n..(slot + 1) * window.batch.n]
+                .copy_from_slice(&state.values);
             // od-lint: allow(D3) — checkpoint restore of a stream that originated from StdRng::seed_from_u64; validated against the manifest seed
-            window.rngs.push(StdRng::from_state(state.rng));
+            window.batch.rngs.push(StdRng::from_state(state.rng));
             if let Some(tracker) = state.tracker {
                 // od-lint: allow(D3) — PotentialTracker::from_state restores a potential accumulator, not an RNG
                 window.trackers.push(PotentialTracker::from_state(
                     config.potential,
-                    window.n,
+                    window.batch.n,
                     tracker,
                 ));
             }
-            window.slot_trial[slot] = state.trial;
-            window.taken[slot] = state.taken;
-            window.blocks[slot] = state.block;
+            window.retire.admit(state.trial);
+            window.retire.taken[slot] = state.taken;
+            window.retire.blocks[slot] = state.block;
         }
         for &(trial, report) in &checkpoint.done {
-            if trial >= checkpoint.total {
-                return Err(CoreError::Checkpoint(format!(
-                    "completed trial {trial} out of range"
-                )));
-            }
             window.reports[trial] = report;
         }
         window.next = checkpoint.next;
-        window.live = live;
         Ok(window)
     }
 }
@@ -801,6 +726,44 @@ mod tests {
             ConvergeWindow::restore(&g, spec, &xi0, &seeds, 3, block_config, &checkpoint),
             Err(CoreError::Checkpoint(_))
         ));
+    }
+
+    #[test]
+    fn restore_rejects_budget_breaking_and_duplicate_slots() {
+        let g = generators::cycle(8).unwrap();
+        let spec = KernelSpec::Edge(crate::EdgeModelParams::new(0.5).unwrap());
+        let xi0: Vec<f64> = (0..8).map(f64::from).collect();
+        let seeds = [1u64, 2, 3, 4];
+        let config = ConvergeConfig::new(1e-30, 20)
+            .with_check_every(10)
+            .with_threads(1);
+        let mut window = ConvergeWindow::new(&g, spec, &xi0, &seeds, 2, config).unwrap();
+        // Trials 0 and 1 spend their budget; 2 and 3 are admitted.
+        window.run_blocks(4);
+        let text = window.checkpoint().to_text();
+        assert!(text.contains("\ndone 0 20 ") && text.contains("\nslot 2 0 10 "));
+        // Rewrites the trial, taken and block fields of trial 2's slot.
+        let edited = |trial: usize, taken: u64, block: u64| {
+            let line = format!("\nslot {trial} {taken} {block} ");
+            let checkpoint =
+                WindowCheckpoint::from_text(&text.replacen("\nslot 2 0 10 ", &line, 1)).unwrap();
+            ConvergeWindow::restore(&g, spec, &xi0, &seeds, 2, config, &checkpoint)
+        };
+        assert!(edited(2, 15, 5).is_ok());
+        for (trial, taken, block) in [
+            (2, 5, 3_000_000_000),
+            (2, 5, u64::MAX),
+            (2, 21, 0),
+            (2, 15, 10),
+            (2, 0, 11),
+            (3, 0, 10),
+            (0, 0, 10),
+        ] {
+            assert!(
+                matches!(edited(trial, taken, block), Err(CoreError::Checkpoint(_))),
+                "slot {trial} {taken} {block}"
+            );
+        }
     }
 
     #[test]

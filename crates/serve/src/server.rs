@@ -10,10 +10,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 
-use od_stats::{fmt_float, paired_t_ci, Summary};
-
 use od_graph::Graph;
-use od_sim::{cell_rows, Simulation, SweepPlan, SweepSpec};
+use od_sim::{
+    cell_line, cell_rows, contrast_line, step_contrasts, Simulation, SweepPlan, SweepSpec,
+};
 
 use crate::cache::{MemoCache, StoredCell};
 use crate::pool::WorkerPool;
@@ -332,59 +332,20 @@ fn handle_submit(text: &str, shared: &Arc<Shared>, writer: &mut impl Write) -> i
         ) {
             writeln!(writer, "ROW {}", row.csv_line())?;
         }
-        let steps = Summary::of(
-            &stored
-                .trials
-                .iter()
-                .map(|t| t.steps as f64)
-                .collect::<Vec<_>>(),
-        );
         writeln!(
             writer,
-            "CELL {} engine={} trials={} converged={} steps_mean={} steps_std={} label={}",
-            cell.index,
-            stored.engine,
-            stored.trials.len(),
-            stored.trials.iter().filter(|t| t.converged).count(),
-            fmt_float(steps.mean),
-            fmt_float(steps.std),
-            cell.label,
+            "{}",
+            cell_line(cell.index, &stored.engine, &cell.label, &stored.trials)
         )?;
         writer.flush()?;
         emitted.push(stored);
     }
-    // Paired contrasts against cell 0, mirroring
-    // `SweepReport::contrasts`: CRN sweeps with ≥ 2 cells only; cells
-    // with unequal replica counts are reported unpaired. `emitted`
-    // holds every cell in order by construction of the loop above, so
-    // no unwrapping: a missing baseline just skips the contrasts.
-    if plan.crn && emitted.len() == plan.cells.len() && emitted.len() >= 2 {
-        let steps_of = |stored: &StoredCell| -> Vec<f64> {
-            stored.trials.iter().map(|t| t.steps as f64).collect()
-        };
-        let Some(first) = emitted.first() else {
-            return writeln!(writer, "DONE");
-        };
-        let baseline = steps_of(first);
-        for (i, stored) in emitted.iter().enumerate().skip(1) {
-            let steps = steps_of(stored);
-            let label = &plan.cells[i].label;
-            if steps.len() == baseline.len() && steps.len() >= 2 {
-                let contrast = paired_t_ci(&steps, &baseline);
-                writeln!(
-                    writer,
-                    "CONTRAST {i} mean_diff={} std_err={} ci95_lo={} ci95_hi={} resolved={} \
-                     label={label}",
-                    fmt_float(contrast.mean_diff),
-                    fmt_float(contrast.std_err),
-                    fmt_float(contrast.ci95.0),
-                    fmt_float(contrast.ci95.1),
-                    contrast.resolved(),
-                )?;
-            } else {
-                writeln!(writer, "CONTRAST {i} unpaired label={label}")?;
-            }
-        }
+    // `emitted` holds every cell in order by construction of the loop
+    // above.
+    let cells = plan.cells.iter().zip(&emitted);
+    let cells = cells.map(|(cell, stored)| (cell, &stored.trials[..]));
+    for contrast in step_contrasts(plan.crn, cells) {
+        writeln!(writer, "{}", contrast_line(&contrast))?;
     }
     writeln!(writer, "DONE")?;
     Ok(())

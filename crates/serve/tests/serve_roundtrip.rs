@@ -7,7 +7,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 
 use od_serve::{MemoCache, Server, ServerConfig};
-use od_sim::{run_sweep, sweep_rows, Simulation, SweepSpec};
+use od_sim::{cell_line, contrast_line, run_sweep, sweep_rows, Simulation, SweepSpec};
 
 /// A small CRN sweep (2 cells, shared cycle graph) that converges in
 /// well under a second per cell.
@@ -195,6 +195,32 @@ fn streamed_rows_match_the_cli_sink_renderer() {
         .map(str::to_string)
         .collect();
     assert_eq!(got, expected, "daemon rows must equal the CLI sink rows");
+
+    // The CRN sweep's CELL and CONTRAST lines are the `od_sim::rows`
+    // renderers applied to the same report.
+    let expected: Vec<String> = report
+        .cells
+        .iter()
+        .map(|c| {
+            cell_line(
+                c.cell.index,
+                c.report.engine,
+                &c.cell.label,
+                &c.report.trials,
+            )
+        })
+        .chain(report.contrasts().iter().map(contrast_line))
+        .collect();
+    let got: Vec<String> = response
+        .lines()
+        .filter(|line| line.starts_with("CELL ") || line.starts_with("CONTRAST "))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(
+        got, expected,
+        "daemon summaries must equal the shared renderers"
+    );
+    assert!(got.iter().any(|line| line.starts_with("CONTRAST 1 ")));
 }
 
 #[test]

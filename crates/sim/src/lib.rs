@@ -55,7 +55,7 @@ pub mod sim;
 pub mod spec;
 pub mod sweep;
 
-pub use rows::{cell_rows, sweep_rows, TrialRow, CSV_HEADER};
+pub use rows::{cell_line, cell_rows, contrast_line, sweep_rows, TrialRow, CSV_HEADER};
 pub use sim::{Engine, Simulation, SimulationReport, TrialResult};
 pub use spec::{
     load_edge_list_file, load_init_file, load_replay_file, pm_one, ChurnModelSpec, ChurnSpec,
@@ -63,6 +63,6 @@ pub use spec::{
     StopRuleSpec, StopSpec, TierSpec, WeightSpec, DEFAULT_BATCH,
 };
 pub use sweep::{
-    run_cell, run_sweep, CellReport, SweepAxis, SweepCell, SweepContrast, SweepPlan, SweepReport,
-    SweepSpec, MAX_CELLS,
+    run_cell, run_sweep, step_contrasts, CellReport, SweepAxis, SweepCell, SweepContrast,
+    SweepPlan, SweepReport, SweepSpec, MAX_CELLS,
 };

@@ -15,12 +15,16 @@
 //!   floats as `null`.
 //!
 //! Keeping the rendering here means a daemon cache hit can replay rows
-//! byte-identically to what the CLI would have written.
+//! byte-identically to what the CLI would have written. The daemon's
+//! per-cell `CELL` summaries and CRN `CONTRAST` lines render here too
+//! ([`cell_line`], [`contrast_line`]).
 
-use od_stats::SeedSequence;
+use std::fmt::Display;
+
+use od_stats::{fmt_float, SeedSequence, Summary};
 
 use crate::sim::TrialResult;
-use crate::sweep::SweepReport;
+use crate::sweep::{SweepContrast, SweepReport};
 
 /// The CSV header line matching [`TrialRow::csv_line`], without a
 /// trailing newline.
@@ -165,6 +169,44 @@ pub fn sweep_rows(scenario: &str, report: &SweepReport) -> Vec<TrialRow> {
             )
         })
         .collect()
+}
+
+/// The `CELL` summary line of one finished cell (no trailing newline):
+/// its engine, trial and converged counts, the mean and standard
+/// deviation of its step counts, and its label.
+pub fn cell_line(
+    index: usize,
+    engine: impl Display,
+    label: &str,
+    trials: &[TrialResult],
+) -> String {
+    let steps = Summary::of(&trials.iter().map(|t| t.steps as f64).collect::<Vec<_>>());
+    format!(
+        "CELL {index} engine={engine} trials={} converged={} steps_mean={} steps_std={} \
+         label={label}",
+        trials.len(),
+        trials.iter().filter(|t| t.converged).count(),
+        fmt_float(steps.mean),
+        fmt_float(steps.std),
+    )
+}
+
+/// The `CONTRAST` line of one cell against cell 0 (no trailing newline):
+/// the paired-t contrast of mean steps, or `unpaired`.
+pub fn contrast_line(contrast: &SweepContrast) -> String {
+    let SweepContrast { cell, label, steps } = contrast;
+    match steps {
+        Some(steps) => format!(
+            "CONTRAST {cell} mean_diff={} std_err={} ci95_lo={} ci95_hi={} resolved={} \
+             label={label}",
+            fmt_float(steps.mean_diff),
+            fmt_float(steps.std_err),
+            fmt_float(steps.ci95.0),
+            fmt_float(steps.ci95.1),
+            steps.resolved(),
+        ),
+        None => format!("CONTRAST {cell} unpaired label={label}"),
+    }
 }
 
 #[cfg(test)]

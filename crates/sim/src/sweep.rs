@@ -39,7 +39,7 @@ use std::sync::Arc;
 use od_graph::Graph;
 use od_stats::{paired_t_ci, Contrast};
 
-use crate::sim::{Simulation, SimulationReport};
+use crate::sim::{Simulation, SimulationReport, TrialResult};
 use crate::spec::{
     parse_graph_tokens, ChurnModelSpec, GraphSpec, ModelSpec, ScenarioSpec, SimError, StopSpec,
 };
@@ -499,13 +499,6 @@ pub struct CellReport {
     pub report: SimulationReport,
 }
 
-impl CellReport {
-    /// Per-trial step counts as f64 — the paired-contrast observable.
-    fn steps_f64(&self) -> Vec<f64> {
-        self.report.trials.iter().map(|t| t.steps as f64).collect()
-    }
-}
-
 /// A CRN-paired contrast of one cell against the baseline cell 0.
 #[derive(Debug, Clone)]
 pub struct SweepContrast {
@@ -533,29 +526,42 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Paired-t contrasts of every cell against cell 0, CRN sweeps
-    /// only (pairing is meaningless under independent seeding — returns
-    /// an empty list). Cells whose replica count differs from the
-    /// baseline's are skipped (`steps: None`).
+    /// Paired-t contrasts of every cell against cell 0 under
+    /// [`step_contrasts`]' pairing rule.
     pub fn contrasts(&self) -> Vec<SweepContrast> {
-        if !self.crn || self.cells.len() < 2 {
-            return Vec::new();
-        }
-        let baseline = self.cells[0].steps_f64();
-        self.cells[1..]
-            .iter()
-            .map(|cell| {
-                let steps = cell.steps_f64();
-                let contrast = (steps.len() == baseline.len() && steps.len() >= 2)
-                    .then(|| paired_t_ci(&steps, &baseline));
-                SweepContrast {
-                    cell: cell.cell.index,
-                    label: cell.cell.label.clone(),
-                    steps: contrast,
-                }
-            })
-            .collect()
+        let cells = self.cells.iter().map(|c| (&c.cell, &c.report.trials[..]));
+        step_contrasts(self.crn, cells)
     }
+}
+
+/// The CRN pairing rule, shared by [`SweepReport::contrasts`] and the
+/// `od-serve` daemon: paired-t contrasts of mean steps of every cell
+/// after the first against the first, in order. Pairing is meaningless
+/// under independent seeding, so a non-CRN sweep (or a single cell)
+/// gets an empty list; a cell whose replica count differs from the
+/// baseline's, or is below 2, is reported unpaired (`steps: None`).
+pub fn step_contrasts<'a>(
+    crn: bool,
+    cells: impl IntoIterator<Item = (&'a SweepCell, &'a [TrialResult])>,
+) -> Vec<SweepContrast> {
+    let steps =
+        |trials: &[TrialResult]| -> Vec<f64> { trials.iter().map(|t| t.steps as f64).collect() };
+    let mut cells = cells.into_iter();
+    let (true, Some((_, first))) = (crn, cells.next()) else {
+        return Vec::new();
+    };
+    let baseline = steps(first);
+    cells
+        .map(|(cell, trials)| {
+            let steps = steps(trials);
+            SweepContrast {
+                cell: cell.index,
+                label: cell.label.clone(),
+                steps: (steps.len() == baseline.len() && steps.len() >= 2)
+                    .then(|| paired_t_ci(&steps, &baseline)),
+            }
+        })
+        .collect()
 }
 
 /// A validated sweep expanded into its schedulable parts: the cell
