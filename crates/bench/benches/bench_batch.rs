@@ -1,5 +1,6 @@
 //! Batched step kernels at production scale: `StepKernel::step_many` on
-//! graphs up to n = 10^6 and `ReplicaBatch` structure-of-arrays sweeps.
+//! graphs up to n = 10^6, `ReplicaBatch` structure-of-arrays sweeps, and
+//! a fixed-horizon million-node cell at 1 and 2 threads.
 //!
 //! Each `step_many` benchmark advances a fixed block of steps per
 //! iteration (the reported time divides by `STEPS_PER_ITER` to give
@@ -16,7 +17,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
-use od_core::{EdgeModelParams, KernelSpec, NodeModelParams, ReplicaBatch, StepKernel, VoterBatch};
+use od_core::{
+    EdgeModelParams, KernelSpec, NodeModelParams, ReplicaBatch, StepKernel, Topology, VoterBatch,
+};
 use od_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,6 +101,32 @@ fn voter_batch_step_many(c: &mut Criterion) {
     group.finish();
 }
 
+/// A fixed-horizon cell of the million-node sweeps: 4 replicas built
+/// (ξ(0) rows written by the workers), stepped `HORIZON` steps in one
+/// block-runner round and read out (`φ`, `M`), at 1 and 2 threads. The
+/// 2-thread row splits the replicas across two workers, so on a
+/// machine with two free cores it should take about half as long.
+fn replica_batch_fixed_horizon(c: &mut Criterion) {
+    const HORIZON: u64 = 65_536;
+    let mut group = c.benchmark_group("batch/horizon4_65536steps");
+    group.sample_size(5);
+    let g = generators::torus(1000, 1000).unwrap();
+    let (xi0, seeds) = (pm_one(g.n()), [1u64, 2, 3, 4]);
+    let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
+    for threads in [1usize, 2] {
+        group.bench_function(format!("torus1000x1000/n1000000/threads{threads}"), |b| {
+            b.iter(|| {
+                let topology = Topology::from(&g);
+                let mut batch =
+                    ReplicaBatch::with_topology_threads(topology, spec, &xi0, &seeds, threads)
+                        .unwrap();
+                batch.run_epochs(HORIZON, 1, threads).unwrap()
+            });
+        });
+    }
+    group.finish();
+}
+
 /// The lane tier on the same scale set: 8 lanes per iteration, so the
 /// per-replica step cost is `time / (8 × STEPS_PER_ITER)`. The k = 4
 /// rows hit the full-row-mean arm on the 4-regular tori (no per-lane
@@ -128,6 +157,7 @@ criterion_group!(
     kernel_node_step_many,
     kernel_edge_step_many,
     replica_batch_step_many,
+    replica_batch_fixed_horizon,
     voter_batch_step_many,
     lane_batch_step_many
 );

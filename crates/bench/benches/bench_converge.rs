@@ -7,7 +7,8 @@
 //! trajectories and stopping times are equivalence-gated against exactly
 //! that scalar reference, so this is a pure performance comparison).
 //! Additional rows scale R up to 64 (early retirement + compaction pays
-//! off when stopping times spread) and n up to 10^6.
+//! off when stopping times spread) and n up to 10^6, and the shipped
+//! T22-CONV sweep runs end to end at `threads 0` and `threads 1`.
 //!
 //! Every row re-runs construction + full convergence per iteration, so
 //! scalar and batched rows pay identical setup. CI runs this target in
@@ -21,6 +22,7 @@ use od_core::{
     StopRule, VoterBatch, VoterModel,
 };
 use od_graph::{generators, Graph};
+use od_sim::{run_sweep, SweepSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -164,6 +166,30 @@ fn converge_voter(c: &mut Criterion) {
     group.finish();
 }
 
+/// The shipped T22-CONV sweep (`examples/scenarios/t22_conv_sweep.scn`,
+/// 12 small graphs × 20 replicas, exact rule) end to end through
+/// `run_sweep`, at its shipped `threads 0` and at `threads 1`. Every
+/// block round of this sweep sits below the block runner's inline
+/// cutoff, so the two rows should match: the `threads 0` row once paid
+/// a scoped thread team per round.
+fn converge_t22_sweep(c: &mut Criterion) {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenarios/t22_conv_sweep.scn"
+    );
+    let text = std::fs::read_to_string(path).unwrap();
+    let mut group = c.benchmark_group("converge/t22_sweep");
+    group.sample_size(3);
+    for threads in [0usize, 1] {
+        let mut sweep = SweepSpec::parse(&text).unwrap();
+        sweep.base.threads = threads;
+        group.bench_function(format!("threads{threads}"), |b| {
+            b.iter(|| run_sweep(&sweep).unwrap().cells.len());
+        });
+    }
+    group.finish();
+}
+
 /// Lane-tier sibling of the headline row: 8 lanes driven to the same ε
 /// under the shared schedule (statistically — not bit — comparable with
 /// the scalar/batched rows above; converged lanes freeze rather than
@@ -196,6 +222,7 @@ criterion_group!(
     converge_r64,
     converge_million,
     converge_voter,
+    converge_t22_sweep,
     converge_lane
 );
 criterion_main!(benches);

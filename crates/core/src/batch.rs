@@ -30,19 +30,25 @@
 //! stopping check and the exact rule's trackers) and the `VoterBatch`
 //! itself (opinion rows, discord counts, RNGs). The batch drivers admit
 //! every replica at round 0 and restore canonical slot order at the end.
+//! The fixed-horizon drivers ([`ReplicaBatch::run_epochs`],
+//! [`VoterBatch::run_epochs`]) run one round of the same block runner
+//! per epoch, and `with_topology_threads` has its workers write the
+//! initial rows, so one thread budget covers a batch from allocation to
+//! report.
 //!
 //! [`StepKernel`]: crate::StepKernel
 
 use crate::dynamic::Topology;
 use crate::engine::{
-    resolve_check_every, resolve_threads, ConvergeConfig, ConvergenceReport, StopRule,
+    resolve_check_every, resolve_threads, ConvergeConfig, ConvergenceReport, PotentialKind,
+    StopRule,
 };
 use crate::error::CoreError;
 use crate::kernel::{
-    count_discordant_edges, retire_all, run_steps, run_voter_steps_tracked, slice_average,
-    slice_potential_and_mean, slice_potential_pi, slice_weighted_average, swap_rows,
-    validate_values, AveragingRows, BlockCheck, BlockOutcome, KernelSpec, PotentialTracker,
-    RetiringRows, VoterRows,
+    count_discordant_edges, repeat_rows, retire_all, run_block_parallel, run_steps,
+    run_voter_steps_tracked, slice_average, slice_potential_and_mean, slice_potential_pi,
+    slice_weighted_average, swap_rows, validate_values, AveragingRows, BlockCheck, BlockOutcome,
+    KernelSpec, PotentialTracker, RetiringRows, VoterRows,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -112,14 +118,33 @@ impl<'g> ReplicaBatch<'g> {
         xi0: &[f64],
         seeds: &[u64],
     ) -> Result<Self, CoreError> {
+        ReplicaBatch::with_topology_threads(topology, spec, xi0, seeds, 1)
+    }
+
+    /// [`ReplicaBatch::with_topology`] whose value rows are written by
+    /// `threads` workers (0 = available parallelism) of the block runner:
+    /// the buffer is a zeroed allocation and each worker copies `ξ(0)`
+    /// into its own rows, so a large batch takes its page faults in
+    /// parallel. The batch is the same for every thread count.
+    ///
+    /// # Errors
+    ///
+    /// The same as [`crate::StepKernel::new`].
+    pub fn with_topology_threads(
+        topology: Topology<'g>,
+        spec: KernelSpec,
+        xi0: &[f64],
+        seeds: &[u64],
+        threads: usize,
+    ) -> Result<Self, CoreError> {
         let graph = topology.graph();
         validate_values(graph, xi0)?;
         spec.validate(graph)?;
-        let (sample, perm) = spec.scratch(graph);
+        let (sample, perm) = spec.scratch();
         Ok(ReplicaBatch {
             spec,
             n: xi0.len(),
-            values: xi0.repeat(seeds.len()),
+            values: repeat_rows(xi0, seeds.len(), resolve_threads(threads)),
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             sample,
             perm,
@@ -181,10 +206,11 @@ impl<'g> ReplicaBatch<'g> {
     /// Advances every replica by `steps` steps on the current (frozen)
     /// topology.
     ///
-    /// Replicas are advanced one after another (the shared CSR arrays stay
-    /// hot; each replica's values are contiguous), each from its own RNG,
-    /// so the result is independent of replica order and count. Performs
-    /// no heap allocation.
+    /// Replicas are advanced one after another on the calling thread (the
+    /// shared CSR arrays stay hot; each replica's values are contiguous),
+    /// each from its own RNG, so the result is independent of replica
+    /// order and count. Performs no heap allocation.
+    /// [`ReplicaBatch::run_epochs`] is the multi-worker form.
     pub fn step_many(&mut self, steps: u64) {
         let graph = self.topology.graph();
         for (r, rng) in self.rngs.iter_mut().enumerate() {
@@ -201,6 +227,28 @@ impl<'g> ReplicaBatch<'g> {
         self.time += steps;
     }
 
+    /// One block-runner round: every replica steps `block` steps under
+    /// `check` on `threads` workers, recording `outcomes`.
+    fn round(
+        &mut self,
+        check: &BlockCheck<'_>,
+        block: u64,
+        outcomes: &mut [BlockOutcome],
+        threads: usize,
+    ) {
+        let rows = AveragingRows {
+            graph: self.topology.graph(),
+            spec: self.spec,
+            check,
+            n: self.n,
+            values: &mut self.values,
+            rngs: &mut self.rngs,
+            trackers: &mut [],
+        };
+        run_block_parallel(rows, outcomes, &vec![block; outcomes.len()], threads);
+        self.time += block;
+    }
+
     /// One epoch: [`ReplicaBatch::step_many`], then the topology's
     /// epoch-boundary hook — one churn application shared by every
     /// replica on a churned topology, nothing on a static graph. Returns
@@ -215,6 +263,63 @@ impl<'g> ReplicaBatch<'g> {
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
         self.step_many(steps);
         self.topology.end_epoch(Some(self.spec))
+    }
+
+    /// The fixed-horizon driver: `epochs` epochs of `epoch` steps, one
+    /// block-runner round on `threads` workers (0 = available
+    /// parallelism) per epoch, each followed by the epoch hook. Returns
+    /// one unconverged [`ConvergenceReport`] per replica (original
+    /// order) with `steps = epoch · epochs` and `φ` and `M(t)` read on the
+    /// final topology: by the workers in the last round on a static
+    /// graph, in a zero-length round after the last churn otherwise.
+    ///
+    /// Bit-identical, for every thread count, to `epochs` calls of
+    /// [`ReplicaBatch::step_epoch`] followed by
+    /// [`ReplicaBatch::replica_potential_and_average`] per replica.
+    ///
+    /// # Errors
+    ///
+    /// The [`ReplicaBatch::step_epoch`] errors (the values are left at
+    /// the failing epoch boundary).
+    pub fn run_epochs(
+        &mut self,
+        epoch: u64,
+        epochs: u64,
+        threads: usize,
+    ) -> Result<Vec<ConvergenceReport>, CoreError> {
+        let threads = resolve_threads(threads);
+        // No potential is ≤ −∞: a check that reads φ and M but never stops.
+        let read = BlockCheck::Boundary {
+            epsilon: f64::NEG_INFINITY,
+            kind: PotentialKind::Pi,
+        };
+        let churned = self.topology.is_churned();
+        let mut outcomes = vec![BlockOutcome::default(); self.replicas()];
+        for e in 0..epochs {
+            // A static graph's epoch hook changes nothing, so its last
+            // round can read the final φ and M itself.
+            let check = if churned || e + 1 < epochs {
+                &BlockCheck::None
+            } else {
+                &read
+            };
+            self.round(check, epoch, &mut outcomes, threads);
+            self.topology.end_epoch(Some(self.spec))?;
+        }
+        if churned || epochs == 0 {
+            self.round(&read, 0, &mut outcomes, threads);
+        }
+        let mutations = self.topology.mutations();
+        Ok(outcomes
+            .iter()
+            .map(|outcome| ConvergenceReport {
+                steps: epoch * epochs,
+                converged: false,
+                potential: outcome.potential,
+                weighted_average: outcome.weighted_average,
+                mutations,
+            })
+            .collect())
     }
 
     /// Drives every replica to ε-convergence (`φ(ξ(t)) ≤ ε`, Eq. 3) or to
@@ -369,6 +474,22 @@ impl<'g> VoterBatch<'g> {
         opinions0: &[u32],
         seeds: &[u64],
     ) -> Result<Self, CoreError> {
+        VoterBatch::with_topology_threads(topology, opinions0, seeds, 1)
+    }
+
+    /// [`VoterBatch::with_topology`] whose opinion rows are written by
+    /// `threads` workers (0 = available parallelism) of the block runner
+    /// (see [`ReplicaBatch::with_topology_threads`]).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    pub fn with_topology_threads(
+        topology: Topology<'g>,
+        opinions0: &[u32],
+        seeds: &[u64],
+        threads: usize,
+    ) -> Result<Self, CoreError> {
         let graph = topology.graph();
         if graph.is_directed() {
             return Err(CoreError::DirectedUnsupported);
@@ -393,7 +514,7 @@ impl<'g> VoterBatch<'g> {
         let discord0 = count_discordant_edges(graph, opinions0);
         Ok(VoterBatch {
             n: opinions0.len(),
-            opinions: opinions0.repeat(seeds.len()),
+            opinions: repeat_rows(opinions0, seeds.len(), resolve_threads(threads)),
             discord: vec![discord0; seeds.len()],
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             time: 0,
@@ -429,8 +550,9 @@ impl<'g> VoterBatch<'g> {
     }
 
     /// Advances every replica by `steps` voter steps on the current
-    /// topology, maintaining the per-replica discordant-edge counts as
-    /// opinions flip.
+    /// topology, on the calling thread, maintaining the per-replica
+    /// discordant-edge counts as opinions flip.
+    /// [`VoterBatch::run_epochs`] is the multi-worker form.
     pub fn step_many(&mut self, steps: u64) {
         let graph = self.topology.graph();
         for (r, rng) in self.rngs.iter_mut().enumerate() {
@@ -443,6 +565,21 @@ impl<'g> VoterBatch<'g> {
             );
         }
         self.time += steps;
+    }
+
+    /// One block-runner round: every replica steps the full `block` on
+    /// `threads` workers; `outcomes` record which sit at consensus.
+    fn round(&mut self, block: u64, outcomes: &mut [BlockOutcome], threads: usize) {
+        let rows = VoterRows {
+            graph: self.topology.graph(),
+            n: self.n,
+            opinions: &mut self.opinions,
+            discord: &mut self.discord,
+            rngs: &mut self.rngs,
+            stop_at_consensus: false,
+        };
+        run_block_parallel(rows, outcomes, &vec![block; outcomes.len()], threads);
+        self.time += block;
     }
 
     /// One epoch: [`VoterBatch::step_many`], then the topology's
@@ -459,6 +596,45 @@ impl<'g> VoterBatch<'g> {
     pub fn step_epoch(&mut self, steps: u64) -> Result<u64, CoreError> {
         self.step_many(steps);
         self.end_epoch(self.replicas())
+    }
+
+    /// The fixed-horizon driver (see [`ReplicaBatch::run_epochs`]):
+    /// `epochs` epochs of `epoch` steps, one block-runner round on
+    /// `threads` workers per epoch, each followed by the epoch hook.
+    /// Returns one [`VoterReport`] per replica with `steps = epoch ·
+    /// epochs` and the consensus opinion, if any, at the horizon — the
+    /// last round's reading, which churn cannot change (it moves edges,
+    /// not opinions). Bit-identical, for every thread count, to `epochs`
+    /// calls of [`VoterBatch::step_epoch`] followed by
+    /// [`VoterBatch::replica_is_consensus`].
+    ///
+    /// # Errors
+    ///
+    /// The [`VoterBatch::step_epoch`] errors.
+    pub fn run_epochs(
+        &mut self,
+        epoch: u64,
+        epochs: u64,
+        threads: usize,
+    ) -> Result<Vec<VoterReport>, CoreError> {
+        let threads = resolve_threads(threads);
+        let mut outcomes = vec![BlockOutcome::default(); self.replicas()];
+        for _ in 0..epochs {
+            self.round(epoch, &mut outcomes, threads);
+            self.end_epoch(self.replicas())?;
+        }
+        if epochs == 0 {
+            self.round(0, &mut outcomes, threads);
+        }
+        Ok(outcomes
+            .iter()
+            .enumerate()
+            .map(|(r, outcome)| VoterReport {
+                steps: epoch * epochs,
+                winner: outcome.converged.then(|| self.opinions[r * self.n]),
+                mutations: self.topology.mutations(),
+            })
+            .collect())
     }
 
     /// Whether replica `r` has reached consensus. The O(1) discord count
@@ -650,7 +826,7 @@ mod tests {
     use super::*;
     use crate::window::run_converge_streaming;
     use crate::{NodeModel, NodeModelParams, OpinionProcess, StepKernel, VoterModel};
-    use od_graph::generators;
+    use od_graph::{generators, ChurnModel, DynamicGraph};
 
     #[test]
     fn replicas_are_independent_scalar_runs() {
@@ -719,6 +895,92 @@ mod tests {
             let (phi, mean) = batch.replica_potential_and_average(r);
             assert_eq!(phi.to_bits(), batch.replica_potential_pi(r).to_bits());
             assert_eq!(mean.to_bits(), batch.replica_weighted_average(r).to_bits());
+        }
+    }
+
+    /// A static graph and an edge-swap churned copy of it.
+    fn topologies(g: &Graph) -> [Topology<'_>; 2] {
+        let churned = DynamicGraph::new(g.clone());
+        [
+            Topology::from(g),
+            Topology::churned(churned, ChurnModel::edge_swap(6), 77),
+        ]
+    }
+
+    #[test]
+    fn fixed_horizon_driver_matches_stepping_epochs() {
+        // 3 rows of 4096 nodes plus 2^15-step epochs: every stepping round
+        // is above the inline cutoff, so threads 2 and 3 split.
+        let g = generators::torus(64, 64).unwrap();
+        let xi0: Vec<f64> = (0..g.n()).map(|i| (i % 7) as f64).collect();
+        let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
+        let seeds = [4u64, 5, 6];
+        let (epoch, epochs) = (1 << 15, 3);
+        for (churned, topology) in topologies(&g).into_iter().enumerate() {
+            let mut stepped =
+                ReplicaBatch::with_topology(topology.clone(), spec, &xi0, &seeds).unwrap();
+            for _ in 0..epochs {
+                stepped.step_epoch(epoch).unwrap();
+            }
+            for threads in [1, 2, 3] {
+                let mut batch = ReplicaBatch::with_topology_threads(
+                    topology.clone(),
+                    spec,
+                    &xi0,
+                    &seeds,
+                    threads,
+                )
+                .unwrap();
+                let reports = batch.run_epochs(epoch, epochs, threads).unwrap();
+                assert_eq!(
+                    batch.values(),
+                    stepped.values(),
+                    "churned {churned}, threads {threads}"
+                );
+                assert_eq!(batch.time(), stepped.time());
+                for (r, report) in reports.iter().enumerate() {
+                    let (phi, mean) = stepped.replica_potential_and_average(r);
+                    assert_eq!(report.potential.to_bits(), phi.to_bits());
+                    assert_eq!(report.weighted_average.to_bits(), mean.to_bits());
+                    assert_eq!(report.steps, epoch * epochs);
+                    assert_eq!(report.mutations, stepped.topology().mutations());
+                    assert!(!report.converged);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn voter_fixed_horizon_driver_matches_stepping_epochs() {
+        // Two opinions on 256 nodes reach consensus in some replicas, not
+        // in others; 4 rows of 2^14-step epochs split at threads > 1.
+        let g = generators::torus(16, 16).unwrap();
+        let ops0: Vec<u32> = (0..g.n() as u32).map(|i| u32::from(i < 200)).collect();
+        let seeds = [1u64, 2, 3, 4];
+        let (epoch, epochs) = (1 << 14, 4);
+        for (churned, topology) in topologies(&g).into_iter().enumerate() {
+            let mut stepped = VoterBatch::with_topology(topology.clone(), &ops0, &seeds).unwrap();
+            for _ in 0..epochs {
+                stepped.step_epoch(epoch).unwrap();
+            }
+            for threads in [1, 2, 3] {
+                let mut batch =
+                    VoterBatch::with_topology_threads(topology.clone(), &ops0, &seeds, threads)
+                        .unwrap();
+                let reports = batch.run_epochs(epoch, epochs, threads).unwrap();
+                for (r, report) in reports.iter().enumerate() {
+                    let winner = stepped
+                        .replica_is_consensus(r)
+                        .then(|| stepped.replica_opinions(r)[0]);
+                    assert_eq!(
+                        report.winner, winner,
+                        "churned {churned}, threads {threads}"
+                    );
+                    assert_eq!(batch.replica_opinions(r), stepped.replica_opinions(r));
+                    assert_eq!(report.steps, epoch * epochs);
+                    assert_eq!(report.mutations, stepped.topology().mutations());
+                }
+            }
         }
     }
 
@@ -819,6 +1081,7 @@ mod tests {
 
     #[test]
     fn converge_exact_matches_scalar_driver_bitwise() {
+        crate::split_every_round();
         // StopRule::Exact must reproduce the scalar per-step stopping rule
         // exactly: same stopping step, same converged flag, same final
         // values (bitwise) and the same reported potential.
@@ -887,6 +1150,7 @@ mod tests {
 
     #[test]
     fn converge_independent_of_thread_count_and_batch_size() {
+        crate::split_every_round();
         let g = generators::complete(10).unwrap();
         let xi0: Vec<f64> = (0..10).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 3).unwrap());
@@ -984,6 +1248,7 @@ mod tests {
 
     #[test]
     fn converge_exact_uniform_matches_scalar_uniform_loop() {
+        crate::split_every_round();
         // The uniform-potential arm (Prop. D.1's φ̄_V) must stop at
         // exactly the step the scalar `potential_uniform` loop does —
         // the property the T24-CONV sweep relies on.
@@ -1053,6 +1318,7 @@ mod tests {
 
     #[test]
     fn streaming_matches_batched_engine_across_capacities() {
+        crate::split_every_round();
         // The retirement-aware streaming runner must reproduce the
         // batched engine's per-seed reports bit for bit, for every
         // window capacity and both stopping rules.
@@ -1125,6 +1391,7 @@ mod tests {
 
     #[test]
     fn voter_run_to_consensus_matches_scalar() {
+        crate::split_every_round();
         let g = generators::complete(8).unwrap();
         let ops0: Vec<u32> = (0..8).collect();
         let seeds = [41u64, 42, 43, 44, 45, 46];

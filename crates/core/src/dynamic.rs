@@ -404,6 +404,7 @@ mod tests {
 
     #[test]
     fn dynamic_converge_matches_hand_rolled_epoch_loop() {
+        crate::split_every_round();
         // The engine must reproduce the exact stopping rule the DYN-CHURN
         // sweep used before it: potential checked on the post-churn
         // topology at every epoch boundary, time recorded as the boundary
@@ -472,6 +473,7 @@ mod tests {
 
     #[test]
     fn dynamic_converge_rate0_equals_static_engine() {
+        crate::split_every_round();
         let g = generators::complete(10).unwrap();
         let xi0: Vec<f64> = (0..10).map(f64::from).collect();
         let spec = KernelSpec::Node(NodeModelParams::new(0.5, 3).unwrap());
@@ -545,6 +547,7 @@ mod tests {
 
     #[test]
     fn dynamic_voter_batch_matches_per_trial_loop() {
+        crate::split_every_round();
         // The batched driver must pin consensus times (and winners and
         // per-replica mutation counts) bit-identical to the per-trial
         // epoch loop, for every thread count.

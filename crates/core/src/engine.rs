@@ -269,8 +269,10 @@ pub(crate) fn resolve_check_every(check_every: u64, n: usize) -> u64 {
 }
 
 /// Resolves a user-facing worker-thread parameter (`0` = available
-/// parallelism). Shared by every batched convergence driver.
-pub(crate) fn resolve_threads(threads: usize) -> usize {
+/// parallelism, at least 1). The one home of that rule: the batched
+/// drivers, the Monte-Carlo runner and the daemon's worker pool all
+/// resolve through it.
+pub fn resolve_threads(threads: usize) -> usize {
     if threads == 0 {
         std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)

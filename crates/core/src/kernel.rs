@@ -32,6 +32,7 @@ use crate::state::REFRESH_INTERVAL;
 use od_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Which averaging process a kernel advances, with its parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -61,13 +62,15 @@ impl KernelSpec {
     }
 
     /// Scratch capacity needed so that stepping never reallocates: `k`
-    /// sample slots, plus a `d_max` permutation for the dense regime.
-    pub(crate) fn scratch(&self, graph: &Graph) -> (Vec<NodeId>, Vec<u32>) {
+    /// sample slots, plus a permutation for the dense regime, which
+    /// [`sample_k_neighbors`] enters only at degrees below `3k`. O(1):
+    /// the block runner builds one per worker and round.
+    pub(crate) fn scratch(&self) -> (Vec<NodeId>, Vec<u32>) {
         match self {
             KernelSpec::Node(params) => (
                 Vec::with_capacity(params.k()),
                 if params.k() > 1 {
-                    Vec::with_capacity(graph.max_degree())
+                    Vec::with_capacity(3 * params.k())
                 } else {
                     Vec::new()
                 },
@@ -704,6 +707,10 @@ impl<'a> BlockCheck<'a> {
 /// row `i` of every per-slot array, so ranges split off with
 /// [`BlockRows::split_at`] are disjoint.
 pub(crate) trait BlockRows: Sized + Send {
+    /// Values each slot reads or writes in one O(n) pass besides its
+    /// steps (a boundary potential check, a row fill), 0 for rounds
+    /// without such a pass: the per-slot term of a round's work.
+    fn pass_len(&self) -> usize;
     /// Splits off the first `slots` slots.
     fn split_at(self, slots: usize) -> (Self, Self);
     /// Steps slot `i` through `blocks[i]` steps for every `i <
@@ -724,6 +731,13 @@ pub(crate) struct AveragingRows<'a> {
 }
 
 impl BlockRows for AveragingRows<'_> {
+    fn pass_len(&self) -> usize {
+        match self.check {
+            BlockCheck::Boundary { .. } => self.n,
+            BlockCheck::None | BlockCheck::Tracked { .. } => 0,
+        }
+    }
+
     fn split_at(self, slots: usize) -> (Self, Self) {
         let (values, values_rest) = self.values.split_at_mut(slots * self.n);
         let (rngs, rngs_rest) = self.rngs.split_at_mut(slots);
@@ -755,17 +769,21 @@ impl BlockRows for AveragingRows<'_> {
             rngs,
             trackers,
         } = self;
-        let (sample, perm) = &mut spec.scratch(graph);
+        let (sample, perm) = &mut spec.scratch();
         for (slot, (outcome, &block)) in outcomes.iter_mut().zip(blocks).enumerate() {
             let values = &mut values[slot * n..(slot + 1) * n];
-            let rng = &mut rngs[slot];
+            // A slot steps on local copies of its RNG (and tracker), put
+            // back after the block: neighbouring slots' states share cache
+            // lines, which two workers drawing on every step would
+            // contend for.
+            let mut rng = rngs[slot].clone();
             *outcome = match check {
                 BlockCheck::None => {
-                    run_steps(graph, spec, values, sample, perm, block, rng);
+                    run_steps(graph, spec, values, sample, perm, block, &mut rng);
                     BlockOutcome::unchecked(block, false)
                 }
                 BlockCheck::Boundary { epsilon, kind } => {
-                    run_steps(graph, spec, values, sample, perm, block, rng);
+                    run_steps(graph, spec, values, sample, perm, block, &mut rng);
                     let (potential, weighted_average) = match kind {
                         PotentialKind::Pi => slice_potential_and_mean(graph, values),
                         PotentialKind::Uniform => slice_potential_uniform_and_mean(values),
@@ -778,10 +796,20 @@ impl BlockRows for AveragingRows<'_> {
                     }
                 }
                 BlockCheck::Tracked { epsilon, pi } => {
-                    let tracker = &mut trackers[slot];
+                    let mut tracker = trackers[slot];
                     let (steps, converged) = run_steps_tracked_until(
-                        graph, spec, pi, values, tracker, sample, perm, block, *epsilon, rng,
+                        graph,
+                        spec,
+                        pi,
+                        values,
+                        &mut tracker,
+                        sample,
+                        perm,
+                        block,
+                        *epsilon,
+                        &mut rng,
                     );
+                    trackers[slot] = tracker;
                     BlockOutcome {
                         steps,
                         potential: tracker.potential_pi(),
@@ -790,6 +818,7 @@ impl BlockRows for AveragingRows<'_> {
                     }
                 }
             };
+            rngs[slot] = rng;
         }
     }
 }
@@ -812,6 +841,11 @@ pub(crate) struct VoterRows<'a> {
 }
 
 impl BlockRows for VoterRows<'_> {
+    /// Consensus is read off the O(1) discord count.
+    fn pass_len(&self) -> usize {
+        0
+    }
+
     fn split_at(self, slots: usize) -> (Self, Self) {
         let (opinions, opinions_rest) = self.opinions.split_at_mut(slots * self.n);
         let (discord, discord_rest) = self.discord.split_at_mut(slots);
@@ -836,34 +870,128 @@ impl BlockRows for VoterRows<'_> {
         let n = self.n;
         for (slot, (outcome, &block)) in outcomes.iter_mut().zip(blocks).enumerate() {
             let opinions = &mut self.opinions[slot * n..(slot + 1) * n];
-            let discord = &mut self.discord[slot];
-            let rng = &mut self.rngs[slot];
+            // Local copies, as in `AveragingRows::run`.
+            let (mut discord, mut rng) = (self.discord[slot], self.rngs[slot].clone());
             let (steps, converged) = if self.stop_at_consensus {
-                run_voter_steps_tracked_until(self.graph, opinions, discord, block, rng)
+                run_voter_steps_tracked_until(self.graph, opinions, &mut discord, block, &mut rng)
             } else {
-                run_voter_steps_tracked(self.graph, opinions, discord, block, rng);
+                run_voter_steps_tracked(self.graph, opinions, &mut discord, block, &mut rng);
                 (
                     block,
-                    *discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
+                    discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
                 )
             };
+            (self.discord[slot], self.rngs[slot]) = (discord, rng);
             *outcome = BlockOutcome::unchecked(steps, converged);
         }
     }
 }
 
-/// The one block runner of the retiring drivers: advances the first
-/// `outcomes.len()` (live) slots of `rows`, slot `i` by `blocks[i]`
-/// steps. The batched drivers schedule a uniform block, while
-/// [`crate::ConvergeWindow`] hands freshly admitted slots a zero-length
-/// entry block and budget-capped stragglers their personal remainder.
+/// Row initialisation: every slot's row becomes a copy of `row`. Run as
+/// a zero-length round by [`repeat_rows`], so the workers that later step
+/// a batch's rows are the ones taking their first-touch page faults.
+pub(crate) struct FillRows<'a, T> {
+    pub row: &'a [T],
+    pub buf: &'a mut [T],
+}
+
+impl<T: Copy + Send + Sync> BlockRows for FillRows<'_, T> {
+    fn pass_len(&self) -> usize {
+        self.row.len()
+    }
+
+    fn split_at(self, slots: usize) -> (Self, Self) {
+        let (buf, rest) = self.buf.split_at_mut(slots * self.row.len());
+        let row = self.row;
+        (FillRows { row, buf }, FillRows { row, buf: rest })
+    }
+
+    fn run(self, outcomes: &mut [BlockOutcome], _blocks: &[u64]) {
+        let n = self.row.len();
+        for slot in 0..outcomes.len() {
+            self.buf[slot * n..(slot + 1) * n].copy_from_slice(self.row);
+        }
+    }
+}
+
+/// `slots` copies of `row` in one replica-major buffer: a zeroed
+/// allocation (untouched pages) that `threads` workers of the block
+/// runner fill, each its own rows.
+pub(crate) fn repeat_rows<T>(row: &[T], slots: usize, threads: usize) -> Vec<T>
+where
+    T: Copy + Default + Send + Sync,
+{
+    let mut buf = vec![T::default(); slots * row.len()];
+    let mut outcomes = vec![BlockOutcome::default(); slots];
+    run_block_parallel(
+        FillRows { row, buf: &mut buf },
+        &mut outcomes,
+        &vec![0; slots],
+        threads,
+    );
+    buf
+}
+
+/// Below this much work a round runs inline: the work of a round is
+/// estimated as `Σ (block + pass)` over its live slots — the steps plus,
+/// in rounds that make one, the O(n) pass of each slot (a boundary
+/// potential check or a row fill; see [`BlockRows::pass_len`]). Spawning and
+/// joining a two-worker scoped team costs about 100 µs on a 2-vCPU VM,
+/// the time of some 10⁴ small-graph steps; measured two-worker rounds
+/// broke even near 2¹⁵ units and won from 2¹⁶ on. Every block of a T(ε)
+/// sweep on graphs of a few hundred nodes falls below it; the
+/// million-node fixed horizons lie far above. `bench_converge`'s T22 rows
+/// and `bench_batch`'s fixed-horizon rows track both sides.
+pub(crate) const MIN_SPLIT_WORK: u64 = 1 << 16;
+
+/// Set by [`split_every_round`].
+static SPLIT_EVERY_ROUND: AtomicBool = AtomicBool::new(false);
+
+/// Test-only hook: from the first call on, the block runner partitions
+/// every round with more than one worker and live slot, however little
+/// work it holds, so equivalence suites on small graphs keep covering
+/// the split path. It is process-wide and never reset: results never
+/// depend on it, so the tests sharing a binary need no ordering. Public
+/// (hidden) only because the integration suites are separate crates.
+#[doc(hidden)]
+pub fn split_every_round() {
+    SPLIT_EVERY_ROUND.store(true, Ordering::Relaxed);
+}
+
+/// A round's work (see [`MIN_SPLIT_WORK`]): each live slot's block plus
+/// its pass, if the round makes one.
+fn round_work<R: BlockRows>(rows: &R, blocks: &[u64]) -> u64 {
+    let pass = rows.pass_len() as u64;
+    blocks
+        .iter()
+        .fold(0u64, |sum, &b| sum.saturating_add(b).saturating_add(pass))
+}
+
+/// The workers a round of `live` slots and `work` units (see
+/// [`MIN_SPLIT_WORK`]) gets from a budget of `threads`: one below
+/// `min_work`, otherwise one per slot up to the budget.
+pub(crate) fn round_workers(threads: usize, live: usize, work: u64, min_work: u64) -> usize {
+    if work < min_work {
+        1
+    } else {
+        threads.clamp(1, live.max(1))
+    }
+}
+
+/// The one block runner: advances the first `outcomes.len()` (live)
+/// slots of `rows`, slot `i` by `blocks[i]` steps. The batched drivers
+/// schedule a uniform block, while [`crate::ConvergeWindow`] hands
+/// freshly admitted slots a zero-length entry block and budget-capped
+/// stragglers their personal remainder; the fixed-horizon drivers run
+/// one round per epoch.
 ///
 /// The live prefix is partitioned into contiguous per-worker ranges and
 /// stepped under `std::thread::scope`; each worker owns its own sampling
 /// scratch, and every slot draws only from its own RNG and touches only
 /// its own row, so the result is **independent of the thread count and of
-/// the partition** — bit for bit. With `threads <= 1` (or a single live
-/// slot) everything runs inline on the calling thread.
+/// the partition** — bit for bit. With `threads <= 1`, a single live
+/// slot or a round below [`MIN_SPLIT_WORK`] everything runs inline on
+/// the calling thread.
 pub(crate) fn run_block_parallel<R: BlockRows>(
     rows: R,
     outcomes: &mut [BlockOutcome],
@@ -871,7 +999,13 @@ pub(crate) fn run_block_parallel<R: BlockRows>(
     threads: usize,
 ) {
     let live = outcomes.len();
-    let workers = threads.clamp(1, live.max(1));
+    let work = round_work(&rows, &blocks[..live]);
+    let min_work = if SPLIT_EVERY_ROUND.load(Ordering::Relaxed) {
+        0
+    } else {
+        MIN_SPLIT_WORK
+    };
+    let workers = round_workers(threads, live, work, min_work);
     if workers <= 1 {
         return rows.run(outcomes, blocks);
     }
@@ -1107,7 +1241,7 @@ impl<'g> StepKernel<'g> {
     ) -> Result<Self, CoreError> {
         validate_values(graph, &initial_values)?;
         spec.validate(graph)?;
-        let (sample, perm) = spec.scratch(graph);
+        let (sample, perm) = spec.scratch();
         Ok(StepKernel {
             graph,
             spec,
@@ -1329,6 +1463,77 @@ mod tests {
     use od_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn rounds_below_the_cutoff_run_inline() {
+        let cutoff = MIN_SPLIT_WORK;
+        assert_eq!(round_workers(8, 16, cutoff - 1, cutoff), 1);
+        assert_eq!(round_workers(8, 16, cutoff, cutoff), 8);
+        // Never more workers than live slots, never fewer than one.
+        assert_eq!(round_workers(8, 3, u64::MAX, cutoff), 3);
+        assert_eq!(round_workers(0, 3, u64::MAX, cutoff), 1);
+        assert_eq!(round_workers(4, 0, u64::MAX, cutoff), 1);
+        // A zero cutoff (the split-every-round test hook) splits anything.
+        assert_eq!(round_workers(2, 2, 0, 0), 2);
+    }
+
+    #[test]
+    fn only_rounds_with_an_o_n_pass_count_n() {
+        // Four replicas of a 128² torus on 64-step blocks (a churned
+        // fixed horizon with short epochs): unchecked and voter rounds
+        // hold only their steps, far below the cutoff; a boundary check
+        // adds one row read per slot.
+        let g = generators::torus(128, 128).unwrap();
+        let n = g.n();
+        let (mut values, mut opinions) = (vec![0.0; 4 * n], vec![0u32; 4 * n]);
+        let (mut rngs, mut discord) = (vec![StdRng::seed_from_u64(1); 4], vec![0u64; 4]);
+        let blocks = [64u64; 4];
+        let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
+        let boundary = BlockCheck::Boundary {
+            epsilon: 0.0,
+            kind: PotentialKind::Pi,
+        };
+        for (check, pass) in [(&BlockCheck::None, 0), (&boundary, n as u64)] {
+            let rows = AveragingRows {
+                graph: &g,
+                spec,
+                check,
+                n,
+                values: &mut values,
+                rngs: &mut rngs,
+                trackers: &mut [],
+            };
+            assert_eq!(round_work(&rows, &blocks), 4 * (64 + pass));
+        }
+        let voter = VoterRows {
+            graph: &g,
+            n,
+            opinions: &mut opinions,
+            discord: &mut discord,
+            rngs: &mut rngs,
+            stop_at_consensus: false,
+        };
+        assert_eq!(round_work(&voter, &blocks), 256);
+        assert!(round_work(&voter, &blocks) < MIN_SPLIT_WORK);
+        let fill = FillRows {
+            row: &opinions[..n],
+            buf: &mut vec![0u32; 4 * n],
+        };
+        assert_eq!(round_work(&fill, &[0; 4]), 4 * n as u64);
+        assert_eq!(round_work(&fill, &[u64::MAX; 4]), u64::MAX);
+    }
+
+    #[test]
+    fn repeated_rows_are_independent_of_the_thread_count() {
+        // 5 rows of 2^14 values: above the cutoff, so threads > 1 split.
+        let row: Vec<f64> = (0..1 << 14).map(f64::from).collect();
+        let expected = row.repeat(5);
+        for threads in [1, 2, 3, 8] {
+            assert_eq!(repeat_rows(&row, 5, threads), expected, "threads {threads}");
+        }
+        assert!(repeat_rows(&row, 0, 2).is_empty());
+        assert_eq!(repeat_rows::<u32>(&[], 3, 2), Vec::<u32>::new());
+    }
 
     fn assert_bits_identical(a: &[f64], b: &[f64]) {
         assert_eq!(a.len(), b.len());

@@ -199,8 +199,8 @@ struct LaneScratch {
 }
 
 impl LaneScratch {
-    fn new(params: NodeModelParams, graph: &Graph, lanes: usize) -> LaneScratch {
-        let (sample, perm) = KernelSpec::Node(params).scratch(graph);
+    fn new(params: NodeModelParams, lanes: usize) -> LaneScratch {
+        let (sample, perm) = KernelSpec::Node(params).scratch();
         LaneScratch {
             raw: vec![0; lanes],
             coins: vec![0; lanes],
@@ -551,7 +551,7 @@ impl<'g> LaneReplicaBatch<'g> {
             values,
             schedule: schedule_stream(seeds),
             rngs: LaneRngs::new(seeds),
-            scratch: LaneScratch::new(params, graph, lanes),
+            scratch: LaneScratch::new(params, lanes),
             time: 0,
             topology,
         })
@@ -809,8 +809,8 @@ mod tests {
             let mut sched_d = schedule_stream(&seeds);
             let mut rngs_f = LaneRngs::new(&seeds);
             let mut rngs_d = LaneRngs::new(&seeds);
-            let mut scratch_f = LaneScratch::new(params, &g, lanes);
-            let mut scratch_d = LaneScratch::new(params, &g, lanes);
+            let mut scratch_f = LaneScratch::new(params, lanes);
+            let mut scratch_d = LaneScratch::new(params, lanes);
             run_lane_steps(
                 &g,
                 params,

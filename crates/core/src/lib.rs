@@ -69,10 +69,12 @@ pub use batch::{ReplicaBatch, VoterBatch};
 pub use dynamic::Topology;
 pub use edge_model::EdgeModel;
 pub use engine::{
-    estimate_convergence_value, run_kernel_until_converged, run_until_converged, trace_potential,
-    ConvergeConfig, ConvergenceReport, PotentialKind, StopRule,
+    estimate_convergence_value, resolve_threads, run_kernel_until_converged, run_until_converged,
+    trace_potential, ConvergeConfig, ConvergenceReport, PotentialKind, StopRule,
 };
 pub use error::CoreError;
+#[doc(hidden)]
+pub use kernel::split_every_round;
 pub use kernel::{KernelSpec, StepKernel, VoterKernel};
 #[cfg(feature = "lane")]
 pub use lane::{to_lane_major, to_replica_major, LaneReplicaBatch, LaneRngs};

@@ -670,6 +670,7 @@ mod tests {
 
     #[test]
     fn window_equals_streaming_wrapper() {
+        crate::split_every_round();
         let (g, spec, xi0, seeds) = scenario();
         for config in configs() {
             let direct = run_converge_streaming(&g, spec, &xi0, &seeds, 3, config).unwrap();
@@ -683,6 +684,7 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_bit_identical_at_every_boundary() {
+        crate::split_every_round();
         let (g, spec, xi0, seeds) = scenario();
         for config in configs() {
             let uninterrupted = run_converge_streaming(&g, spec, &xi0, &seeds, 3, config).unwrap();

@@ -521,6 +521,76 @@ impl Graph {
         debug_assert!(self.check_invariants().is_ok());
     }
 
+    /// Builds an undirected graph from CSR rows its generator wrote
+    /// directly: row `u` is `neighbors[offsets[u]..offsets[u + 1]]`,
+    /// strictly ascending, and the rows are symmetric. One linear pass
+    /// rejects what [`Graph::from_edges`] rejects — out-of-range nodes,
+    /// self loops, repeated neighbours — and any row out of order; the
+    /// symmetry the generator guarantees is checked in debug builds.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::InvalidNode`], [`GraphError::SelfLoop`] and
+    /// [`GraphError::DuplicateEdge`] as [`Graph::from_edges`];
+    /// [`GraphError::BrokenInvariant`] for offsets that do not frame
+    /// `neighbors` or a descending row.
+    pub(crate) fn from_sorted_rows(
+        offsets: Vec<usize>,
+        neighbors: Vec<NodeId>,
+    ) -> Result<Graph, GraphError> {
+        let n = offsets.len().saturating_sub(1);
+        if n > u32::MAX as usize {
+            return Err(GraphError::InvalidParameter(format!(
+                "graph supports at most {} nodes, got {n}",
+                u32::MAX
+            )));
+        }
+        if offsets.first() != Some(&0) || offsets.last() != Some(&neighbors.len()) {
+            return Err(GraphError::BrokenInvariant(
+                "row offsets must run from 0 to the neighbour count".into(),
+            ));
+        }
+        let mut tails = Vec::with_capacity(neighbors.len());
+        for u in 0..n {
+            let (start, end) = (offsets[u], offsets[u + 1]);
+            let row = neighbors.get(start..end).ok_or_else(|| {
+                GraphError::BrokenInvariant(format!("offsets decrease at node {u}"))
+            })?;
+            let mut prev = None;
+            for &v in row {
+                if v as usize >= n {
+                    return Err(GraphError::InvalidNode { node: v as u64, n });
+                }
+                if v as usize == u {
+                    return Err(GraphError::SelfLoop { node: u as u64 });
+                }
+                match prev {
+                    Some(p) if p == v => {
+                        return Err(GraphError::DuplicateEdge {
+                            u: u as u64,
+                            v: v as u64,
+                        })
+                    }
+                    Some(p) if p > v => {
+                        return Err(GraphError::BrokenInvariant(format!(
+                            "row of node {u} not ascending: {p} then {v}"
+                        )))
+                    }
+                    _ => prev = Some(v),
+                }
+            }
+            tails.resize(end, u as NodeId);
+        }
+        let graph = Graph {
+            offsets,
+            neighbors,
+            tails,
+            ..Graph::placeholder()
+        };
+        debug_assert!(graph.check_invariants().is_ok());
+        Ok(graph)
+    }
+
     /// A zero-node, zero-allocation placeholder — the initial back buffer
     /// of [`crate::DynamicGraph`], which stays this cheap until the first
     /// rebuild commit actually needs it.

@@ -142,22 +142,37 @@ pub fn grid2d(rows: usize, cols: usize, wrap: bool) -> Result<Graph, GraphError>
         )));
     }
     let id = |r: usize, c: usize| (r * cols + c) as NodeId;
-    let mut edges = Vec::new();
+    let before = |i: usize, len: usize| match i {
+        0 if wrap => Some(len - 1),
+        0 => None,
+        _ => Some(i - 1),
+    };
+    let after = |i: usize, len: usize| match i + 1 {
+        next if next < len => Some(next),
+        _ if wrap => Some(0),
+        _ => None,
+    };
+    let n = rows * cols;
+    let mut offsets = Vec::with_capacity(n + 1);
+    offsets.push(0);
+    let mut neighbors = Vec::with_capacity(4 * n);
     for r in 0..rows {
         for c in 0..cols {
-            if c + 1 < cols {
-                edges.push((id(r, c), id(r, c + 1)));
-            } else if wrap {
-                edges.push((id(r, c), id(r, 0)));
-            }
-            if r + 1 < rows {
-                edges.push((id(r, c), id(r + 1, c)));
-            } else if wrap {
-                edges.push((id(r, c), id(0, c)));
-            }
+            let start = neighbors.len();
+            let candidates = [
+                before(r, rows).map(|r| id(r, c)),
+                before(c, cols).map(|c| id(r, c)),
+                after(c, cols).map(|c| id(r, c)),
+                after(r, rows).map(|r| id(r, c)),
+            ];
+            neighbors.extend(candidates.into_iter().flatten());
+            // Ascending already, except where a wrapped neighbour jumps
+            // to the far side.
+            neighbors[start..].sort_unstable();
+            offsets.push(neighbors.len());
         }
     }
-    connected(Graph::from_edges(rows * cols, &edges))
+    connected(Graph::from_sorted_rows(offsets, neighbors))
 }
 
 /// Torus shorthand: `grid2d(rows, cols, true)`.
@@ -181,16 +196,18 @@ pub fn hypercube(dim: usize) -> Result<Graph, GraphError> {
         )));
     }
     let n = 1usize << dim;
-    let mut edges = Vec::with_capacity(n * dim / 2);
+    let offsets = (0..=n).map(|u| u * dim).collect();
+    let mut neighbors = Vec::with_capacity(n * dim);
     for u in 0..n {
-        for b in 0..dim {
-            let v = u ^ (1 << b);
-            if u < v {
-                edges.push((u as NodeId, v as NodeId));
-            }
-        }
+        // Clearing a set bit lowers the id, the higher bit the more;
+        // setting a clear bit raises it. So the row ascends through the
+        // set bits from high to low, then the clear bits from low to high.
+        let flip = |b: usize| (u ^ (1 << b)) as NodeId;
+        let set = |b: &usize| u & (1 << b) != 0;
+        neighbors.extend((0..dim).rev().filter(set).map(flip));
+        neighbors.extend((0..dim).filter(|b| !set(b)).map(flip));
     }
-    connected(Graph::from_edges(n, &edges))
+    connected(Graph::from_sorted_rows(offsets, neighbors))
 }
 
 /// Complete binary tree with the given number of levels (`levels >= 1`;
@@ -619,6 +636,89 @@ mod tests {
             }
         }
         assert!(hypercube(0).is_err());
+    }
+
+    /// The edge-list form the lattice generators used to sort through
+    /// `from_edges`: the reference their direct row writers must match.
+    fn grid_edges(rows: usize, cols: usize, wrap: bool) -> Vec<(NodeId, NodeId)> {
+        let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+        let mut edges = Vec::new();
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    edges.push((id(r, c), id(r, c + 1)));
+                } else if wrap {
+                    edges.push((id(r, c), id(r, 0)));
+                }
+                if r + 1 < rows {
+                    edges.push((id(r, c), id(r + 1, c)));
+                } else if wrap {
+                    edges.push((id(r, c), id(0, c)));
+                }
+            }
+        }
+        edges
+    }
+
+    #[test]
+    fn lattice_rows_equal_edge_list_builds() {
+        for dim in 1..=12 {
+            let n = 1usize << dim;
+            let edges: Vec<_> = (0..n)
+                .flat_map(|u| (0..dim).map(move |b| (u, u ^ (1 << b))))
+                .filter(|&(u, v)| u < v)
+                .map(|(u, v)| (u as NodeId, v as NodeId))
+                .collect();
+            let g = hypercube(dim).unwrap();
+            assert_eq!(g, Graph::from_edges(n, &edges).unwrap(), "hypercube({dim})");
+            assert_eq!(g.check_invariants(), Ok(()));
+        }
+        for rows in 2..=9 {
+            for cols in 2..=9 {
+                for wrap in [false, true] {
+                    let Ok(g) = grid2d(rows, cols, wrap) else {
+                        assert!(wrap && (rows < 3 || cols < 3));
+                        continue;
+                    };
+                    let edges = grid_edges(rows, cols, wrap);
+                    let reference = Graph::from_edges(rows * cols, &edges).unwrap();
+                    assert_eq!(g, reference, "grid2d({rows}, {cols}, {wrap})");
+                    assert_eq!(g.check_invariants(), Ok(()));
+                }
+            }
+        }
+        let (g, edges) = (torus(64, 33).unwrap(), grid_edges(64, 33, true));
+        assert_eq!(g, Graph::from_edges(64 * 33, &edges).unwrap());
+    }
+
+    #[test]
+    fn sorted_rows_reject_what_from_edges_rejects() {
+        // Node 0's row in each case; node 1's row is [0].
+        let build = |row0: &[NodeId]| {
+            let mut neighbors = row0.to_vec();
+            neighbors.push(0);
+            let offsets = vec![0, row0.len(), row0.len() + 1];
+            Graph::from_sorted_rows(offsets, neighbors)
+        };
+        assert!(build(&[1]).is_ok());
+        assert_eq!(build(&[2]), Err(GraphError::InvalidNode { node: 2, n: 2 }));
+        assert_eq!(build(&[0, 1]), Err(GraphError::SelfLoop { node: 0 }));
+        assert_eq!(
+            build(&[1, 1]),
+            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
+        );
+        assert!(matches!(
+            Graph::from_sorted_rows(vec![0, 2, 2, 3], vec![2, 1, 0]),
+            Err(GraphError::BrokenInvariant(_))
+        ));
+        assert!(matches!(
+            Graph::from_sorted_rows(vec![0, 2, 1], vec![1, 0]),
+            Err(GraphError::BrokenInvariant(_))
+        ));
+        assert!(matches!(
+            Graph::from_sorted_rows(vec![0, 1], vec![]),
+            Err(GraphError::BrokenInvariant(_))
+        ));
     }
 
     #[test]

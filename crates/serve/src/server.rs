@@ -97,11 +97,7 @@ impl Server {
         let cache = MemoCache::new(config.checkpoint_dir.clone())?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let workers = if config.workers == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            config.workers
-        };
+        let workers = od_core::resolve_threads(config.workers);
         let shared = Arc::new(Shared {
             cache,
             pool: WorkerPool::new(workers)?,

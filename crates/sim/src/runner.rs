@@ -52,12 +52,15 @@ where
     T: Send,
     F: Fn(usize, &[u64]) -> Vec<T> + Sync,
 {
-    monte_carlo_batched_threads(trials, seeds, batch, 0, f)
+    monte_carlo_batched_threads(trials, seeds, batch, 0, |start, chunk, _| f(start, chunk))
 }
 
-/// [`monte_carlo_batched`] with an explicit worker-thread count
-/// (`0` = available parallelism) — the scenario dispatcher routes its
-/// `threads` knob here. Results are identical for every thread count.
+/// [`monte_carlo_batched`] with an explicit thread budget (`0` =
+/// available parallelism) — the scenario dispatcher routes its `threads`
+/// knob here. The chunks run side by side on up to `budget` threads, and
+/// `f` gets each chunk's share of the budget, `budget / chunks` (at
+/// least 1), as its third argument, for the chunk's own workers.
+/// Results are identical for every thread count.
 ///
 /// # Panics
 ///
@@ -71,18 +74,13 @@ pub fn monte_carlo_batched_threads<T, F>(
 ) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize, &[u64]) -> Vec<T> + Sync,
+    F: Fn(usize, &[u64], usize) -> Vec<T> + Sync,
 {
     assert!(batch > 0, "batch size must be positive");
     let chunks = trials.div_ceil(batch);
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    }
-    .min(chunks.max(1));
+    let budget = od_core::resolve_threads(threads);
+    let share = (budget / chunks.max(1)).max(1);
+    let threads = budget.min(chunks.max(1));
     let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::with_capacity(chunks));
     std::thread::scope(|scope| {
         for worker in 0..threads {
@@ -97,7 +95,7 @@ where
                     let end = (start + batch).min(trials);
                     let chunk_seeds: Vec<u64> =
                         (start..end).map(|i| seeds.seed(i as u64)).collect();
-                    let out = f(start, &chunk_seeds);
+                    let out = f(start, &chunk_seeds, share);
                     assert_eq!(
                         out.len(),
                         chunk_seeds.len(),
@@ -194,8 +192,27 @@ mod tests {
         let f = |_: usize, chunk: &[u64]| -> Vec<u64> { chunk.iter().map(|s| s ^ 5).collect() };
         let reference = monte_carlo_batched(40, seeds, 4, f);
         for threads in [1usize, 2, 7, 64] {
-            let got = monte_carlo_batched_threads(40, seeds, 4, threads, f);
+            let got = monte_carlo_batched_threads(40, seeds, 4, threads, |s, c, _| f(s, c));
             assert_eq!(got, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn chunks_split_the_thread_budget() {
+        let seeds = SeedSequence::new(3);
+        // (trials, batch, budget) -> each chunk's share: budget / chunks,
+        // never below one thread.
+        for (trials, batch, budget, share) in [
+            (4, 16, 8, 8),
+            (12, 4, 25, 8),
+            (40, 4, 64, 6),
+            (40, 4, 7, 1),
+            (5, 1, 1, 1),
+        ] {
+            let got = monte_carlo_batched_threads(trials, seeds, batch, budget, |_, c, t| {
+                vec![t; c.len()]
+            });
+            assert_eq!(got, vec![share; trials], "{trials}/{batch} on {budget}");
         }
     }
 

@@ -7,8 +7,8 @@
 //! |---|---|
 //! | averaging, R = 1, `output trace` | scalar process + `trace_potential` (recorded run) |
 //! | averaging, static, `stop converge` | `run_converge_streaming` (retirement-aware SoA window) |
-//! | averaging, `stop steps` / churn + `stop converge` | `ReplicaBatch::step_epoch` / `run_until_converged` over seed chunks |
-//! | voter | `VoterBatch::step_epoch` / `run_to_consensus` over seed chunks |
+//! | averaging, `stop steps` / churn + `stop converge` | `ReplicaBatch::run_epochs` / `run_until_converged` over seed chunks |
+//! | voter | `VoterBatch::run_epochs` / `run_to_consensus` over seed chunks |
 //! | averaging, `tier lane` | `LaneReplicaBatch` (`lane` feature; all replicas in one lane-major batch) |
 //! | `degroot` / `fj` / `weighted_median` | `SyncKernel` deterministic synchronous rounds (the only engine for weighted *directed* graphs) |
 //!
@@ -18,6 +18,13 @@
 //! scenario's one churn stream). Churned runs advance in epochs of the
 //! churn cadence and check convergence or consensus on the post-churn
 //! topology at each epoch boundary.
+//!
+//! Each cell has one thread budget, the spec's `threads` resolved once
+//! (0 = available parallelism). The streaming window spends all of it;
+//! seed chunks run side by side, each driver getting `budget / chunks`
+//! workers (at least one). Every driver spends its workers through
+//! od-core's one block runner, which runs rounds too small to split
+//! inline.
 //!
 //! Weighted graphs (`weights uniform ...` or a 3-column `graph file=`)
 //! run the exact batched engines or the sync kernels; a `tier lane`
@@ -226,6 +233,8 @@ pub struct Simulation {
     /// ([`crate::spec::ChurnModelSpec::Replay`]) do their IO (and
     /// surface their errors) at `from_spec`, not mid-run.
     churn_model: Option<ChurnModel>,
+    /// The cell's thread budget: `spec.threads`, resolved once.
+    threads: usize,
 }
 
 impl Simulation {
@@ -382,12 +391,14 @@ impl Simulation {
             Some(churn) => Some(churn.model.build()?),
             None => None,
         };
+        let threads = od_core::resolve_threads(spec.threads);
         let sim = Simulation {
             spec,
             graph,
             xi0,
             opinions0,
             churn_model,
+            threads,
         };
         // Validate the (graph, init, model) triple once, through the same
         // constructors the engines use, so dispatch cannot fail later.
@@ -545,19 +556,20 @@ impl Simulation {
         }
     }
 
-    /// Runs `run` over seed chunks in parallel (the `batch` and `threads`
-    /// knobs; the engine inside a chunk runs on one thread). A
+    /// Runs `run` over seed chunks in parallel (the `batch` knob): the
+    /// chunks share the thread budget, and `run` gets each chunk's share
+    /// (see [`monte_carlo_batched_threads`]) for its driver. A
     /// chunk-level engine error fails the whole run.
     fn chunked<F>(&self, run: F) -> Result<Vec<TrialResult>, SimError>
     where
-        F: Fn(&[u64]) -> Result<Vec<TrialResult>, CoreError> + Sync,
+        F: Fn(&[u64], usize) -> Result<Vec<TrialResult>, CoreError> + Sync,
     {
         let trials: Vec<Result<TrialResult, CoreError>> = monte_carlo_batched_threads(
             self.spec.replicas,
             self.seeds(),
             self.spec.resolved_batch(),
-            self.spec.threads,
-            |_, chunk| match run(chunk) {
+            self.threads,
+            |_, chunk, threads| match run(chunk, threads) {
                 Ok(results) => results.into_iter().map(Ok).collect(),
                 Err(e) => chunk.iter().map(|_| Err(e.clone())).collect(),
             },
@@ -621,7 +633,7 @@ impl Simulation {
             })
             .with_potential(potential.kind())
             .with_check_every(self.check_every())
-            .with_threads(self.spec.threads)
+            .with_threads(self.threads)
     }
 
     /// The checkpointable streaming window behind this scenario's run —
@@ -703,71 +715,58 @@ impl Simulation {
     /// converge`: one `ReplicaBatch` per seed chunk.
     fn run_replica_batch(&self) -> Result<Vec<TrialResult>, SimError> {
         let spec = self.kernel_spec();
-        self.chunked(|chunk| {
-            let mut batch = ReplicaBatch::with_topology(self.topology(), spec, &self.xi0, chunk)?;
-            let StopSpec::Steps { steps } = self.spec.stop else {
-                let config = self.converge_config().with_threads(1);
-                let reports = batch.run_until_converged(config)?;
-                return Ok(reports.iter().map(TrialResult::from_convergence).collect());
+        self.chunked(|chunk, threads| {
+            let mut batch = ReplicaBatch::with_topology_threads(
+                self.topology(),
+                spec,
+                &self.xi0,
+                chunk,
+                threads,
+            )?;
+            let reports = match self.spec.stop {
+                StopSpec::Steps { steps } => {
+                    let (epoch, epochs) = self.epochs(steps);
+                    batch.run_epochs(epoch, epochs, threads)?
+                }
+                _ => batch.run_until_converged(self.converge_config().with_threads(threads))?,
             };
-            let (epoch, epochs) = self.epochs(steps);
-            for _ in 0..epochs {
-                batch.step_epoch(epoch)?;
-            }
-            let mutations = batch.topology().mutations();
-            Ok((0..chunk.len())
-                .map(|r| {
-                    let (potential, estimate) = batch.replica_potential_and_average(r);
-                    TrialResult {
-                        steps,
-                        converged: false,
-                        potential,
-                        estimate,
-                        winner: None,
-                        mutations,
-                    }
-                })
-                .collect())
+            Ok(reports.iter().map(TrialResult::from_convergence).collect())
         })
     }
 
     /// Every voter scenario: one `VoterBatch` per seed chunk. Static
     /// consensus times are exact per step; churned ones epoch-granular.
     fn run_voter_batch(&self) -> Result<Vec<TrialResult>, SimError> {
-        self.chunked(|chunk| {
-            let mut batch = VoterBatch::with_topology(self.topology(), &self.opinions0, chunk)?;
-            let trial = |steps: u64, winner: Option<u32>, mutations: u64| TrialResult {
-                steps,
-                converged: winner.is_some(),
-                potential: f64::NAN,
-                estimate: f64::NAN,
-                winner,
-                mutations,
-            };
-            match self.spec.stop {
-                StopSpec::Consensus { budget } => Ok(batch
-                    .run_to_consensus(budget, self.check_every(), 1)?
-                    .iter()
-                    .map(|r| trial(r.steps, r.winner, r.mutations))
-                    .collect()),
+        self.chunked(|chunk, threads| {
+            let mut batch = VoterBatch::with_topology_threads(
+                self.topology(),
+                &self.opinions0,
+                chunk,
+                threads,
+            )?;
+            let reports = match self.spec.stop {
+                StopSpec::Consensus { budget } => {
+                    batch.run_to_consensus(budget, self.check_every(), threads)?
+                }
                 StopSpec::Steps { steps } => {
                     let (epoch, epochs) = self.epochs(steps);
-                    for _ in 0..epochs {
-                        batch.step_epoch(epoch)?;
-                    }
-                    Ok((0..chunk.len())
-                        .map(|r| {
-                            let winner = batch
-                                .replica_is_consensus(r)
-                                .then(|| batch.replica_opinions(r)[0]);
-                            trial(batch.time(), winner, batch.topology().mutations())
-                        })
-                        .collect())
+                    batch.run_epochs(epoch, epochs, threads)?
                 }
                 StopSpec::Converge { .. } | StopSpec::FixedPoint { .. } => {
                     unreachable!("validate rejects voter + converge/fixed_point")
                 }
-            }
+            };
+            Ok(reports
+                .iter()
+                .map(|r| TrialResult {
+                    steps: r.steps,
+                    converged: r.winner.is_some(),
+                    potential: f64::NAN,
+                    estimate: f64::NAN,
+                    winner: r.winner,
+                    mutations: r.mutations,
+                })
+                .collect())
         })
     }
 

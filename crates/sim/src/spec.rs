@@ -897,8 +897,12 @@ pub struct ScenarioSpec {
     /// Block length between convergence checks (0 = auto, one block per
     /// `n` steps). Ignored under churn (the epoch is the block).
     pub check_every: u64,
-    /// Worker threads (0 = available parallelism). Results never depend
-    /// on this.
+    /// The cell's thread budget (0 = available parallelism), resolved
+    /// once: seed chunks run side by side, each driver with `budget /
+    /// chunks` workers (at least one) for its replicas; the streaming
+    /// window gets all of it. Block rounds below the block runner's work
+    /// cutoff run inline whatever the budget. Results never depend on
+    /// this.
     pub threads: usize,
     /// Replicas per structure-of-arrays batch / streaming-window
     /// capacity (0 = auto). Results never depend on this.

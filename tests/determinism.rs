@@ -7,13 +7,18 @@
 //! `ReplicaBatch` replays must be byte-identical across runs, and
 //! Monte-Carlo sweeps over `ReplicaBatch` must return the same results
 //! regardless of thread schedule or batch size (each trial's seed depends
-//! only on its index).
+//! only on its index). Scenario runs must not depend on the thread budget
+//! either, however the block runner splits it.
 
 use opinion_dynamics::core::{
     EdgeModel, EdgeModelParams, KernelSpec, NodeModel, NodeModelParams, OpinionProcess,
     ReplicaBatch, StepKernel, StepRecord,
 };
 use opinion_dynamics::graph::generators;
+use opinion_dynamics::sim::{
+    ChurnModelSpec, ChurnSpec, GraphSpec, InitSpec, ModelSpec, PotentialSpec, ScenarioSpec,
+    Simulation, StopRuleSpec, StopSpec, TrialResult,
+};
 use opinion_dynamics::stats::SeedSequence;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -163,4 +168,102 @@ fn recorded_and_plain_steps_follow_the_same_trajectory() {
         recorded.step_recorded(&mut rng_b);
     }
     assert_bits_identical(plain.state().values(), recorded.state().values());
+}
+
+/// A trial's fields as bits, so `NaN` readings (voter potentials)
+/// compare equal to themselves.
+fn trial_bits(t: &TrialResult) -> (u64, bool, u64, u64, Option<u32>, u64) {
+    (
+        t.steps,
+        t.converged,
+        t.potential.to_bits(),
+        t.estimate.to_bits(),
+        t.winner,
+        t.mutations,
+    )
+}
+
+#[test]
+fn scenario_results_independent_of_thread_budget() {
+    // Three replicas in one seed chunk (`batch` defaults to 16), so the
+    // chunk's driver gets the whole budget. Every stepping round with
+    // more than one live replica is at least 2 × 32768 steps (one epoch
+    // or check block), at or above the block runner's inline cutoff, so
+    // threads 2, 3 and 0 really split. Averaging runs on a 128² torus;
+    // the voter on a 16² torus, where replicas reach consensus at
+    // different times within the horizon.
+    let big = GraphSpec::Torus {
+        rows: 128,
+        cols: 128,
+    };
+    let small = GraphSpec::Torus { rows: 16, cols: 16 };
+    let averaging = ModelSpec::Node {
+        alpha: 0.5,
+        k: 2,
+        lazy: false,
+    };
+    let churn = Some(ChurnSpec {
+        model: ChurnModelSpec::EdgeSwap { swaps: 8 },
+        steps_per_epoch: 32_768,
+        seed: 0xC4A2,
+    });
+    let mut cases = Vec::new();
+    let mut case = |name: &str, model: ModelSpec, churned: bool, stop: StopSpec| {
+        let graph = if model == ModelSpec::Voter {
+            &small
+        } else {
+            &big
+        };
+        let mut spec = ScenarioSpec::new(model, graph.clone(), 0);
+        spec.replicas = 3;
+        spec.seed = 0x5EED;
+        spec.check_every = 32_768;
+        spec.stop = stop;
+        if churned {
+            spec.churn = churn.clone();
+        }
+        if model == ModelSpec::Voter {
+            spec.init = InitSpec::Opinions { levels: 2 };
+        }
+        cases.push((name.to_string(), spec));
+    };
+    let steps = StopSpec::Steps { steps: 65_536 };
+    case("static steps", averaging, false, steps);
+    case("churned steps", averaging, true, steps);
+    let horizon = StopSpec::Steps { steps: 1 << 19 };
+    case("voter steps", ModelSpec::Voter, false, horizon);
+    case("churned voter steps", ModelSpec::Voter, true, horizon);
+    case(
+        "churned converge",
+        averaging,
+        true,
+        StopSpec::Converge {
+            epsilon: 1e-3,
+            rule: StopRuleSpec::Block,
+            potential: PotentialSpec::Pi,
+            budget: 65_536,
+        },
+    );
+    let consensus = StopSpec::Consensus { budget: 1 << 19 };
+    case("voter consensus", ModelSpec::Voter, false, consensus);
+    case("churned voter consensus", ModelSpec::Voter, true, consensus);
+    for (name, mut spec) in cases {
+        let mut run = |threads: usize| -> Vec<_> {
+            spec.threads = threads;
+            let report = Simulation::from_spec(&spec).unwrap().run().unwrap();
+            report.trials.iter().map(trial_bits).collect()
+        };
+        let reference = run(1);
+        assert_eq!(reference.len(), 3, "{name}");
+        if name.contains("voter") {
+            // Consensus times and winners are what a mis-split would move.
+            assert!(
+                reference.iter().any(|t| t.4.is_some()),
+                "{name}: no consensus"
+            );
+        }
+        for threads in [2, 3, 0] {
+            assert_eq!(run(threads), reference, "{name}: threads {threads}");
+        }
+    }
 }
