@@ -1,4 +1,4 @@
-use od_graph::Graph;
+use od_graph::{Graph, NodeId};
 use rand::{Rng, RngCore};
 
 /// Coordinated pairwise averaging gossip (Boyd, Ghosh, Prabhakar, Shah
@@ -13,6 +13,8 @@ use rand::{Rng, RngCore};
 #[derive(Debug, Clone)]
 pub struct PairwiseGossip<'g> {
     graph: &'g Graph,
+    /// The graph's slot owners, read once here rather than per step.
+    tails: &'g [NodeId],
     values: Vec<f64>,
     time: u64,
 }
@@ -32,6 +34,7 @@ impl<'g> PairwiseGossip<'g> {
         assert_eq!(values.len(), graph.n(), "one value per node");
         PairwiseGossip {
             graph,
+            tails: graph.tails(),
             values,
             time: 0,
         }
@@ -61,10 +64,10 @@ impl<'g> PairwiseGossip<'g> {
     pub fn step(&mut self, rng: &mut dyn RngCore) {
         self.time += 1;
         let e = rng.gen_range(0..self.graph.directed_edge_count());
-        let edge = self.graph.directed_edge(e);
-        let mid = 0.5 * (self.values[edge.tail as usize] + self.values[edge.head as usize]);
-        self.values[edge.tail as usize] = mid;
-        self.values[edge.head as usize] = mid;
+        let (tail, head) = (self.tails[e] as usize, self.graph.heads()[e] as usize);
+        let mid = 0.5 * (self.values[tail] + self.values[head]);
+        self.values[tail] = mid;
+        self.values[head] = mid;
     }
 
     /// Runs until the discrepancy falls below `tol` or `max_steps`.

@@ -1,6 +1,7 @@
 //! Batched step kernels at production scale: `StepKernel::step_many` on
-//! graphs up to n = 10^6, `ReplicaBatch` structure-of-arrays sweeps, and
-//! a fixed-horizon million-node cell at 1 and 2 threads.
+//! graphs up to n = 10^6, `ReplicaBatch` structure-of-arrays sweeps, a
+//! fixed-horizon million-node cell at 1 and 2 threads, and the CSR
+//! builds of the two million-node topologies those sweeps run on.
 //!
 //! Each `step_many` benchmark advances a fixed block of steps per
 //! iteration (the reported time divides by `STEPS_PER_ITER` to give
@@ -152,8 +153,25 @@ fn lane_batch_step_many(c: &mut Criterion) {
 #[cfg(not(feature = "lane"))]
 fn lane_batch_step_many(_c: &mut Criterion) {}
 
+/// Building the two million-node CSRs of the end-to-end `big_graph`
+/// sweeps from their generators: rows written directly, no edge list.
+/// Nothing is read afterwards, so the rows time what every cell's graph
+/// costs before its first step (memoised tails are not built).
+fn graph_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch/graph_build");
+    group.sample_size(10);
+    group.bench_function("hypercube20/n1048576", |b| {
+        b.iter(|| generators::hypercube(20).unwrap())
+    });
+    group.bench_function("torus1024x1024/n1048576", |b| {
+        b.iter(|| generators::torus(1024, 1024).unwrap())
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
+    graph_build,
     kernel_node_step_many,
     kernel_edge_step_many,
     replica_batch_step_many,

@@ -20,6 +20,8 @@ use rand::{Rng, RngCore};
 #[derive(Debug, Clone)]
 pub struct EdgeModel<'g> {
     graph: &'g Graph,
+    /// The graph's slot owners, read once here rather than per step.
+    tails: &'g [NodeId],
     state: OpinionState,
     params: EdgeModelParams,
     time: u64,
@@ -52,6 +54,7 @@ impl<'g> EdgeModel<'g> {
         let state = OpinionState::new(graph, initial_values)?;
         Ok(EdgeModel {
             graph,
+            tails: graph.tails(),
             state,
             params,
             time: 0,
@@ -75,9 +78,9 @@ impl<'g> EdgeModel<'g> {
             return None;
         }
         let e = rng.gen_range(0..self.graph.directed_edge_count());
-        let edge = self.graph.directed_edge(e);
-        self.apply_update(edge.tail, edge.head);
-        Some((edge.tail, edge.head))
+        let (tail, head) = (self.tails[e], self.graph.heads()[e]);
+        self.apply_update(tail, head);
+        Some((tail, head))
     }
 }
 

@@ -229,6 +229,7 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
         }
         KernelSpec::Edge(params) => {
             let two_m = graph.directed_edge_count();
+            let (tails, heads) = (graph.tails(), graph.heads());
             let alpha = params.alpha();
             let lazy = params.laziness() == Laziness::Lazy;
             if let Some(weights) = graph.weight_slice() {
@@ -237,12 +238,12 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
                         continue;
                     }
                     let slot = rng.gen_range(0..two_m);
-                    let edge = graph.directed_edge(slot);
+                    let (tail, head) = (tails[slot], heads[slot]);
                     if let Some(target) =
-                        weighted_pull_target(graph, weights, slot, edge.tail, edge.head, values)
+                        weighted_pull_target(graph, weights, slot, tail, head, values)
                     {
-                        values[edge.tail as usize] =
-                            alpha * values[edge.tail as usize] + (1.0 - alpha) * target;
+                        values[tail as usize] =
+                            alpha * values[tail as usize] + (1.0 - alpha) * target;
                     }
                 }
             } else {
@@ -250,9 +251,9 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
                     if lazy && rng.gen_bool(0.5) {
                         continue;
                     }
-                    let edge = graph.directed_edge(rng.gen_range(0..two_m));
-                    values[edge.tail as usize] = alpha * values[edge.tail as usize]
-                        + (1.0 - alpha) * values[edge.head as usize];
+                    let slot = rng.gen_range(0..two_m);
+                    let (tail, head) = (tails[slot] as usize, heads[slot] as usize);
+                    values[tail] = alpha * values[tail] + (1.0 - alpha) * values[head];
                 }
             }
         }
@@ -566,6 +567,7 @@ pub(crate) fn run_steps_tracked_until<R: RngCore + ?Sized>(
         }
         KernelSpec::Edge(params) => {
             let two_m = graph.directed_edge_count();
+            let (tails, heads) = (graph.tails(), graph.heads());
             let alpha = params.alpha();
             let lazy = params.laziness() == Laziness::Lazy;
             let weights = graph.weight_slice();
@@ -581,24 +583,21 @@ pub(crate) fn run_steps_tracked_until<R: RngCore + ?Sized>(
                     continue;
                 }
                 let slot = rng.gen_range(0..two_m);
-                let edge = graph.directed_edge(slot);
-                let tail = edge.tail as usize;
-                let old = values[tail];
+                let (tail, head) = (tails[slot], heads[slot]);
+                let old = values[tail as usize];
                 let target = match weights {
                     Some(weights) => {
-                        match weighted_pull_target(
-                            graph, weights, slot, edge.tail, edge.head, values,
-                        ) {
+                        match weighted_pull_target(graph, weights, slot, tail, head, values) {
                             Some(target) => target,
                             // Zero-weight slot: no pull, nothing to record.
                             None => continue,
                         }
                     }
-                    None => values[edge.head as usize],
+                    None => values[head as usize],
                 };
                 let new = alpha * old + (1.0 - alpha) * target;
-                values[tail] = new;
-                tracker.record(pi[tail], old, new);
+                values[tail as usize] = new;
+                tracker.record(pi[tail as usize], old, new);
                 tracker.maybe_refresh(pi, values);
             }
         }

@@ -52,6 +52,17 @@ pub struct DirectedEdge {
 /// walked again. Only crate-internal code can record the flag;
 /// [`Graph::check_invariants`] verifies a recorded flag against a fresh
 /// BFS, and `==` ignores it.
+///
+/// Two more memos derive from `offsets` alone: the per-slot tail array
+/// ([`Graph::tails`]), which only the `EdgeModel` reads, and
+/// [`Graph::min_degree`]. No builder fills them; the first call does,
+/// `clone()` carries them and `==` ignores them. The NodeModel never
+/// reads the tails, so a graph that no `EdgeModel` touches never pays
+/// their 4 bytes per arc. Writers that keep the offsets (the in-place
+/// patch of [`crate::DynamicGraph`]) keep both memos; writers that move
+/// them (the shifted patch and the rebuild) reset them, except that the
+/// shifted patch carries a built tail array forward by patching it along
+/// with the rows.
 #[derive(Debug, Clone)]
 pub struct Graph {
     /// `offsets[u]..offsets[u+1]` indexes `u`'s neighbours. Length `n + 1`.
@@ -59,10 +70,11 @@ pub struct Graph {
     /// Concatenated sorted neighbour lists. Length `2m` (undirected) or the
     /// directed edge count (directed mode).
     neighbors: Vec<NodeId>,
-    /// `tails[e]` is the tail of directed edge `e` (owner of CSR slot `e`).
-    /// Same length as `neighbors`; lets `EdgeModel` sample a directed edge
-    /// in O(1).
-    tails: Vec<NodeId>,
+    /// Memoised slot owners: `tails[e]` is the tail of directed edge `e`
+    /// (the row that owns CSR slot `e`), same length as `neighbors`. Built
+    /// by the first [`Graph::tails`] call, so `EdgeModel` samples a
+    /// directed edge in O(1) and graphs it never reads store nothing.
+    tails: OnceLock<Vec<NodeId>>,
     /// Optional per-slot edge weights, aligned with `neighbors`. `None`
     /// means unit weights everywhere (the paper's processes); the kernels
     /// gate on this so unweighted graphs take the historical code paths
@@ -81,6 +93,9 @@ pub struct Graph {
     /// Memoised [`Graph::is_connected`] answer (see the type docs). A
     /// cache of the adjacency, so equality ignores it.
     connected: OnceLock<bool>,
+    /// Memoised [`Graph::min_degree`] answer. A cache of `offsets`, so
+    /// equality ignores it.
+    min_degree: OnceLock<usize>,
 }
 
 impl PartialEq for Graph {
@@ -88,16 +103,16 @@ impl PartialEq for Graph {
         let Graph {
             offsets,
             neighbors,
-            tails,
+            tails: _,
             weights,
             row_sums,
             row_maxes,
             directed,
             connected: _,
+            min_degree: _,
         } = self;
         *offsets == other.offsets
             && *neighbors == other.neighbors
-            && *tails == other.tails
             && *weights == other.weights
             && *row_sums == other.row_sums
             && *row_maxes == other.row_maxes
@@ -265,9 +280,6 @@ impl Graph {
                 });
             }
             graph.neighbors.extend(row.iter().map(|&(v, _)| v));
-            graph
-                .tails
-                .extend(std::iter::repeat_n(u as NodeId, row.len()));
             graph.offsets.push(graph.neighbors.len());
         }
         let weights: Vec<f64> = rows
@@ -382,6 +394,8 @@ impl Graph {
         // Rebuild targets are always the paper's plain mode; a dynamic
         // back buffer may have held anything before being refilled.
         self.connected = OnceLock::new();
+        self.min_degree = OnceLock::new();
+        self.tails = OnceLock::new();
         self.weights = None;
         self.row_sums = None;
         self.row_maxes = None;
@@ -434,12 +448,6 @@ impl Graph {
                 });
             }
         }
-        let tails = &mut self.tails;
-        tails.clear();
-        tails.resize(acc, 0 as NodeId);
-        for u in 0..n {
-            tails[offsets[u]..offsets[u + 1]].fill(u as NodeId);
-        }
         Ok(())
     }
 
@@ -467,6 +475,18 @@ impl Graph {
         // plain too.
         debug_assert!(!src.is_weighted() && !src.is_directed());
         self.connected = OnceLock::new();
+        self.min_degree = OnceLock::new();
+        // A tail memo built on `src` is patched along with the rows, into
+        // this buffer's old array. Deriving it from the offsets instead
+        // takes a per-row pass that doubles the commit time of EdgeModel
+        // churn with short epochs; an unbuilt one stays unbuilt.
+        let src_tails = src.tails.get();
+        let mut tails = src_tails.map(|_| {
+            let mut tails = self.tails.take().unwrap_or_default();
+            tails.clear();
+            tails
+        });
+        self.tails = OnceLock::new();
         self.weights = None;
         self.row_sums = None;
         self.row_maxes = None;
@@ -475,29 +495,31 @@ impl Graph {
         self.offsets.reserve(n + 1);
         self.offsets.push(0);
         self.neighbors.clear();
-        self.tails.clear();
         let mut row: Vec<NodeId> = Vec::new();
         // Copies the untouched run [from, to): one bulk copy each for
-        // neighbours and tails, offsets shifted by the cumulative degree
-        // delta so far.
-        let copy_run = |this: &mut Graph, from: usize, to: usize| {
-            if from >= to {
-                return;
-            }
-            let (lo, hi) = (src.offsets[from], src.offsets[to]);
-            let shift = this.neighbors.len() as isize - lo as isize;
-            this.neighbors.extend_from_slice(&src.neighbors[lo..hi]);
-            this.tails.extend_from_slice(&src.tails[lo..hi]);
-            this.offsets.extend(
-                src.offsets[from + 1..=to]
-                    .iter()
-                    .map(|&o| (o as isize + shift) as usize),
-            );
-        };
+        // neighbours and any tails, offsets shifted by the cumulative
+        // degree delta so far.
+        let copy_run =
+            |this: &mut Graph, tails: &mut Option<Vec<NodeId>>, from: usize, to: usize| {
+                if from >= to {
+                    return;
+                }
+                let (lo, hi) = (src.offsets[from], src.offsets[to]);
+                let shift = this.neighbors.len() as isize - lo as isize;
+                this.neighbors.extend_from_slice(&src.neighbors[lo..hi]);
+                if let (Some(tails), Some(src_tails)) = (tails.as_mut(), src_tails) {
+                    tails.extend_from_slice(&src_tails[lo..hi]);
+                }
+                this.offsets.extend(
+                    src.offsets[from + 1..=to]
+                        .iter()
+                        .map(|&o| (o as isize + shift) as usize),
+                );
+            };
         let mut prev = 0usize;
         for (node, (removed, added)) in touched {
             let u = *node as usize;
-            copy_run(&mut *self, prev, u);
+            copy_run(&mut *self, &mut tails, prev, u);
             row.clear();
             row.extend(
                 src.neighbors(*node)
@@ -513,11 +535,16 @@ impl Graph {
             row.extend_from_slice(added);
             row.sort_unstable();
             self.neighbors.extend_from_slice(&row);
-            self.tails.extend(std::iter::repeat_n(*node, row.len()));
+            if let Some(tails) = tails.as_mut() {
+                tails.extend(std::iter::repeat_n(*node, row.len()));
+            }
             self.offsets.push(self.neighbors.len());
             prev = u + 1;
         }
-        copy_run(&mut *self, prev, n);
+        copy_run(&mut *self, &mut tails, prev, n);
+        if let Some(tails) = tails {
+            self.tails = OnceLock::from(tails);
+        }
         debug_assert!(self.check_invariants().is_ok());
     }
 
@@ -550,7 +577,6 @@ impl Graph {
                 "row offsets must run from 0 to the neighbour count".into(),
             ));
         }
-        let mut tails = Vec::with_capacity(neighbors.len());
         for u in 0..n {
             let (start, end) = (offsets[u], offsets[u + 1]);
             let row = neighbors.get(start..end).ok_or_else(|| {
@@ -579,12 +605,10 @@ impl Graph {
                     _ => prev = Some(v),
                 }
             }
-            tails.resize(end, u as NodeId);
         }
         let graph = Graph {
             offsets,
             neighbors,
-            tails,
             ..Graph::placeholder()
         };
         debug_assert!(graph.check_invariants().is_ok());
@@ -598,13 +622,21 @@ impl Graph {
         Graph {
             offsets: vec![0],
             neighbors: Vec::new(),
-            tails: Vec::new(),
+            tails: OnceLock::new(),
             weights: None,
             row_sums: None,
             row_maxes: None,
             directed: false,
             connected: OnceLock::new(),
+            min_degree: OnceLock::new(),
         }
+    }
+
+    /// Whether the `(tails, min_degree)` memos are built — what the
+    /// memo tests observe.
+    #[cfg(test)]
+    pub(crate) fn offset_memos_built(&self) -> (bool, bool) {
+        (self.tails.get().is_some(), self.min_degree.get().is_some())
     }
 
     /// Records that the graph is connected, for a generator whose
@@ -759,7 +791,9 @@ impl Graph {
 
     /// The directed edge with index `e` in `[0, 2m)`. Every directed edge
     /// has exactly one index, so a uniform index gives a uniform directed
-    /// edge — the sampling primitive of the `EdgeModel`.
+    /// edge — the sampling primitive of the `EdgeModel`. The first call
+    /// builds the [`Graph::tails`] memo; step loops read
+    /// [`Graph::tails`] and [`Graph::heads`] once instead.
     ///
     /// # Panics
     ///
@@ -767,9 +801,25 @@ impl Graph {
     #[inline]
     pub fn directed_edge(&self, e: usize) -> DirectedEdge {
         DirectedEdge {
-            tail: self.tails[e],
+            tail: self.tails()[e],
             head: self.neighbors[e],
         }
+    }
+
+    /// The tail of every directed edge: `tails()[e]` owns CSR slot `e`
+    /// (`offsets[u] <= e < offsets[u + 1]` for `u = tails()[e]`). Memoised:
+    /// the first call on a graph (or on the graph it was cloned from)
+    /// fills the array in O(n + m), so only graphs whose directed edges
+    /// are sampled (the `EdgeModel`, pairwise gossip) store it.
+    pub fn tails(&self) -> &[NodeId] {
+        self.tails.get_or_init(|| slot_owners(&self.offsets))
+    }
+
+    /// The head of every directed edge, aligned with [`Graph::tails`]:
+    /// the concatenated sorted neighbour rows.
+    #[inline]
+    pub fn heads(&self) -> &[NodeId] {
+        &self.neighbors
     }
 
     /// Iterator over all undirected edges as `(u, v)` with `u < v`.
@@ -792,9 +842,14 @@ impl Graph {
         })
     }
 
-    /// Iterator over all directed edges `(tail, head)`.
+    /// Iterator over all directed edges `(tail, head)`, in slot order.
+    /// Walks the rows, so it leaves the [`Graph::tails`] memo unbuilt.
     pub fn directed_edges(&self) -> impl Iterator<Item = DirectedEdge> + '_ {
-        (0..self.directed_edge_count()).map(move |e| self.directed_edge(e))
+        self.nodes().flat_map(move |tail| {
+            self.neighbors(tail)
+                .iter()
+                .map(move |&head| DirectedEdge { tail, head })
+        })
     }
 
     /// Iterator over node ids `0..n`.
@@ -802,12 +857,11 @@ impl Graph {
         0..self.n() as NodeId
     }
 
-    /// Minimum degree `d_min`. Returns 0 for the empty graph.
+    /// Minimum degree `d_min`. Returns 0 for the empty graph. Memoised
+    /// like [`Graph::tails`]: only the first call on a graph (or on the
+    /// graph it was cloned from) scans the offsets.
     pub fn min_degree(&self) -> usize {
-        (0..self.n() as NodeId)
-            .map(|u| self.degree(u))
-            .min()
-            .unwrap_or(0)
+        *self.min_degree.get_or_init(|| min_row_len(&self.offsets))
     }
 
     /// Maximum degree `d_max`. Returns 0 for the empty graph.
@@ -882,7 +936,8 @@ impl Graph {
     ///   loops;
     /// * undirected mode: adjacency is symmetric (`v ∈ N(u)` ⟺
     ///   `u ∈ N(v)`), and any weights agree across orientations;
-    /// * `tails[e]` names the row that owns slot `e`;
+    /// * a built tail memo names the row that owns each slot, and a
+    ///   memoised minimum degree matches the offsets;
     /// * weights, if present, are aligned, finite, non-negative, with no
     ///   all-zero row, and the cached row sums match;
     /// * a memoised connectivity answer, if present, matches a fresh BFS.
@@ -910,9 +965,6 @@ impl Graph {
         if let Some(u) = (0..n).find(|&u| self.offsets[u] > self.offsets[u + 1]) {
             return broken(format!("offsets decrease at node {u}"));
         }
-        if self.tails.len() != self.neighbors.len() {
-            return broken("tails and neighbors length mismatch".into());
-        }
         for u in 0..n as NodeId {
             let row = self.neighbors(u);
             for (i, &v) in row.iter().enumerate() {
@@ -932,12 +984,15 @@ impl Graph {
                     return broken(format!("edge ({u}, {v}) present but ({v}, {u}) missing"));
                 }
             }
-            let (start, end) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
-            if let Some(e) = (start..end).find(|&e| self.tails[e] != u) {
-                return broken(format!(
-                    "tails[{e}] = {} but slot belongs to node {u}",
-                    self.tails[e]
-                ));
+        }
+        if let Some(tails) = self.tails.get() {
+            if *tails != slot_owners(&self.offsets) {
+                return broken("stale tail memo: slot owners disagree with the offsets".into());
+            }
+        }
+        if let Some(&memo) = self.min_degree.get() {
+            if memo != min_row_len(&self.offsets) {
+                return broken(format!("stale minimum-degree memo: recorded {memo}"));
             }
         }
         if let Some(&memo) = self.connected.get() {
@@ -1025,6 +1080,25 @@ impl Graph {
         }
         count
     }
+}
+
+/// The slot owners framed by `offsets`: slots `offsets[u]..offsets[u + 1]`
+/// belong to `u`.
+fn slot_owners(offsets: &[usize]) -> Vec<NodeId> {
+    let mut tails = Vec::with_capacity(offsets.last().copied().unwrap_or(0));
+    for (u, row) in offsets.windows(2).enumerate() {
+        tails.resize(row[1], u as NodeId);
+    }
+    tails
+}
+
+/// The shortest row framed by `offsets`; 0 when there are no rows.
+fn min_row_len(offsets: &[usize]) -> usize {
+    offsets
+        .windows(2)
+        .map(|row| row[1] - row[0])
+        .min()
+        .unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -1156,6 +1230,142 @@ mod tests {
             Err(GraphError::BrokenInvariant(_))
         ));
         g.check_invariants().unwrap();
+    }
+
+    /// One small graph from every generator family and every builder:
+    /// plain, weighted and directed, with an isolated node and an empty
+    /// out-row among them.
+    fn every_family() -> Vec<(&'static str, Graph)> {
+        use crate::generators as gen;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(19);
+        let mut builder = crate::GraphBuilder::new(5);
+        for (u, v) in [(0, 3), (3, 1), (1, 4)] {
+            builder.add_edge(u, v).unwrap();
+        }
+        vec![
+            ("cycle", gen::cycle(7).unwrap()),
+            ("path", gen::path(5).unwrap()),
+            ("complete", gen::complete(6).unwrap()),
+            ("star", gen::star(6).unwrap()),
+            ("complete_bipartite", gen::complete_bipartite(3, 4).unwrap()),
+            ("grid2d", gen::grid2d(3, 4, false).unwrap()),
+            ("torus", gen::torus(4, 5).unwrap()),
+            ("hypercube", gen::hypercube(4).unwrap()),
+            ("binary_tree", gen::binary_tree(4).unwrap()),
+            ("petersen", gen::petersen()),
+            ("barbell", gen::barbell(4).unwrap()),
+            ("lollipop", gen::lollipop(4, 3).unwrap()),
+            (
+                "gnp_connected",
+                gen::gnp_connected(12, 0.4, &mut rng).unwrap(),
+            ),
+            (
+                "gnm_connected",
+                gen::gnm_connected(12, 20, &mut rng).unwrap(),
+            ),
+            (
+                "random_regular",
+                gen::random_regular(12, 3, &mut rng).unwrap(),
+            ),
+            (
+                "watts_strogatz",
+                gen::watts_strogatz(12, 4, 0.3, &mut rng).unwrap(),
+            ),
+            (
+                "barabasi_albert",
+                gen::barabasi_albert(12, 2, &mut rng).unwrap(),
+            ),
+            ("builder", builder.build()),
+            (
+                "from_edges",
+                Graph::from_edges(6, &[(0, 1), (1, 2), (4, 5)]).unwrap(),
+            ),
+            (
+                "from_weighted_edges",
+                Graph::from_weighted_edges(4, &[(0, 1, 2.0), (1, 3, 0.5), (0, 3, 1.0)]).unwrap(),
+            ),
+            (
+                "from_directed_edges",
+                Graph::from_directed_edges(4, &[(0, 1), (0, 3), (2, 0), (3, 1)]).unwrap(),
+            ),
+            (
+                "from_directed_weighted_edges",
+                Graph::from_directed_weighted_edges(3, &[(2, 0, 0.5), (2, 1, 1.5), (0, 2, 1.0)])
+                    .unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn tails_name_the_owner_of_every_slot() {
+        for (name, g) in every_family() {
+            assert_eq!(
+                g.offset_memos_built(),
+                (false, false),
+                "{name}: built eagerly"
+            );
+            let mut slots = 0;
+            for u in g.nodes() {
+                let (start, end) = (g.offsets[u as usize], g.offsets[u as usize + 1]);
+                for e in start..end {
+                    let head = g.neighbors[e];
+                    assert_eq!(
+                        g.directed_edge(e),
+                        DirectedEdge { tail: u, head },
+                        "{name} {e}"
+                    );
+                }
+                slots += end - start;
+            }
+            assert_eq!(slots, g.directed_edge_count(), "{name}");
+            assert_eq!(g.tails().len(), slots, "{name}");
+            let walked: Vec<_> = g.directed_edges().collect();
+            let indexed: Vec<_> = (0..slots).map(|e| g.directed_edge(e)).collect();
+            assert_eq!(walked, indexed, "{name}");
+            g.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn offset_memos_are_lazy_carried_by_clone_and_ignored_by_eq() {
+        // Rows 0:[1,4] 1:[0,2] 2:[1,3] 3:[2] 4:[0].
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (0, 4)]).unwrap();
+        for u in g.nodes() {
+            let _ = (g.neighbors(u), g.degree(u), g.row_weight_sum(u));
+        }
+        let _ = (g.directed_edges().count(), g.heads(), g.is_connected());
+        assert_eq!(
+            g.offset_memos_built(),
+            (false, false),
+            "row readers build nothing"
+        );
+        let unbuilt = g.clone();
+        assert_eq!(g.tails(), &[0, 0, 1, 1, 2, 2, 3, 4]);
+        assert_eq!(g.min_degree(), 1);
+        let copy = g.clone();
+        assert_eq!(copy.offset_memos_built(), (true, true));
+        assert_eq!(copy.tails.get(), g.tails.get());
+        assert_eq!(unbuilt.offset_memos_built(), (false, false));
+        assert_eq!(g, unbuilt, "== ignores the memos");
+        g.check_invariants().unwrap();
+        // A memo that disagrees with the offsets breaks an invariant.
+        for stale in [vec![0, 1, 1, 1, 2, 2, 3, 4], vec![0; 7], vec![0; 9]] {
+            let mut liar = g.clone();
+            liar.tails = OnceLock::from(stale);
+            assert_eq!(liar, g);
+            assert!(matches!(
+                liar.check_invariants(),
+                Err(GraphError::BrokenInvariant(_))
+            ));
+        }
+        let mut liar = g.clone();
+        liar.min_degree = OnceLock::from(2);
+        assert!(matches!(
+            liar.check_invariants(),
+            Err(GraphError::BrokenInvariant(_))
+        ));
     }
 
     #[test]

@@ -12,13 +12,18 @@
 //! overlay into the CSR by the cheapest route:
 //!
 //! * **in-place patch** when the delta is degree-preserving (edge swaps):
-//!   only the affected neighbour rows are rewritten, offsets and `tails`
-//!   stay untouched — O(Σ d log d over touched nodes);
+//!   only the affected neighbour rows are rewritten and the offsets stay
+//!   untouched, so the memos derived from them ([`Graph::tails`], built
+//!   by the first `EdgeModel` read, and [`Graph::min_degree`]) stay
+//!   valid — O(Σ d log d over touched nodes);
 //! * **shifted patch** for degree-changing edge deltas (rewires): the
 //!   untouched CSR ranges are bulk-copied into the back buffer with their
 //!   offsets moved by the running degree delta, and only the touched rows
 //!   are rebuilt — O(Δ + m/cacheline) instead of the full rebuild's
-//!   per-edge scatter + per-row sort (≈ 50 ms at n = 10⁶);
+//!   per-edge scatter + per-row sort (≈ 50 ms at n = 10⁶). The offsets
+//!   move, so this route and the rebuild below reset the offset memos,
+//!   except that a tail array built on the front buffer is patched along
+//!   with the rows (bulk copies plus the touched rows);
 //! * **amortised rebuild** only when the staged delta rivals the edge
 //!   count itself (a fresh G(n,p) resample): the spare *back buffer* is
 //!   swapped in and refilled from the logical edge list, reusing its
@@ -68,7 +73,7 @@ pub enum CommitOutcome {
     /// No pending mutations; the front buffer was already current.
     Unchanged,
     /// Degree-preserving delta applied in place (rows rewritten, offsets
-    /// and `tails` untouched).
+    /// and the memos derived from them untouched).
     Patched,
     /// Degree-changing delta applied by shifting: untouched CSR ranges
     /// bulk-copied into the back buffer with offsets moved by the running
@@ -447,7 +452,8 @@ impl DynamicGraph {
     }
 
     /// Whether the staged delta leaves every node's degree unchanged (the
-    /// in-place patch precondition: CSR offsets and `tails` stay valid).
+    /// in-place patch precondition: CSR offsets, and so the tail and
+    /// minimum-degree memos, stay valid).
     fn delta_preserves_degrees(&self) -> bool {
         let mut delta: BTreeMap<NodeId, i64> = BTreeMap::new();
         for &(u, v) in &self.pending_add {
@@ -1030,8 +1036,8 @@ mod tests {
     #[test]
     fn shifted_patch_matches_from_scratch_rebuild() {
         // The shifted commit must produce the exact CSR a from-scratch
-        // construction of the logical edge list would (offsets, rows and
-        // tails are all determined by the edge set).
+        // construction of the logical edge list would (offsets and rows
+        // are determined by the edge set).
         let mut dg = DynamicGraph::new(generators::torus(5, 5).unwrap());
         let mut r = rng();
         let churn = ChurnModel::rewire(6, 1);
@@ -1132,6 +1138,61 @@ mod tests {
             },
             CommitOutcome::Rebuilt,
         );
+    }
+
+    /// Builds the offset memos, commits two deltas by `route` and checks
+    /// after each that the memos were kept (in-place patch), reset, or
+    /// for the tails carried forward (shifted patch), and that they equal
+    /// those of a from-scratch build.
+    fn assert_commits_keep_or_reset_offset_memos(
+        route: CommitOutcome,
+        stage: impl Fn(&mut DynamicGraph, NodeId),
+    ) {
+        let mut dg = DynamicGraph::new(generators::cycle(12).unwrap());
+        for round in 0..2 {
+            let tails = dg.graph().tails().as_ptr();
+            dg.graph().min_degree();
+            stage(&mut dg, round);
+            assert_eq!(dg.commit(), route);
+            let built = dg.graph().offset_memos_built();
+            if route == CommitOutcome::Patched {
+                assert_eq!(built, (true, true));
+                assert_eq!(dg.graph().tails().as_ptr(), tails, "tails rebuilt");
+            } else {
+                let shifted = route == CommitOutcome::Shifted;
+                assert_eq!(built, (shifted, false), "{route:?} round {round}");
+            }
+            dg.graph().check_invariants().unwrap();
+            let reference = Graph::from_edges(dg.n(), dg.edges()).unwrap();
+            assert_eq!(
+                dg.graph().tails(),
+                reference.tails(),
+                "{route:?} round {round}"
+            );
+            assert_eq!(dg.graph().min_degree(), reference.min_degree());
+        }
+    }
+
+    #[test]
+    fn commit_routes_keep_or_reset_the_offset_memos() {
+        // Round 0 swaps {0,1},{4,5} -> {0,5},{1,4}; round 1 swaps
+        // {6,7},{9,10} -> {6,10},{7,9}: degrees kept.
+        assert_commits_keep_or_reset_offset_memos(CommitOutcome::Patched, |dg, r| {
+            let (a, b) = (6 * r, 6 * r + 4 - r);
+            dg.remove_edge(a, a + 1).unwrap();
+            dg.remove_edge(b, b + 1).unwrap();
+            dg.add_edge(a, b + 1).unwrap();
+            dg.add_edge(a + 1, b).unwrap();
+        });
+        // One removal changes two degrees.
+        assert_commits_keep_or_reset_offset_memos(CommitOutcome::Shifted, |dg, r| {
+            dg.remove_edge(4 * r, 4 * r + 1).unwrap();
+        });
+        // Chords of stride 2, then of stride 3: no edge shared.
+        assert_commits_keep_or_reset_offset_memos(CommitOutcome::Rebuilt, |dg, r| {
+            let edges: Vec<(NodeId, NodeId)> = (0..12).map(|i| (i, (i + 2 + r) % 12)).collect();
+            dg.set_edges(&edges).unwrap();
+        });
     }
 
     #[test]

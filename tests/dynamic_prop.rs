@@ -3,8 +3,8 @@
 //!
 //! * the committed CSR stays well-formed after arbitrary churn — sorted
 //!   offsets and rows, in-bounds targets, no self loops or duplicates,
-//!   symmetric adjacency, consistent `tails` (everything
-//!   `Graph::check_invariants` pins);
+//!   symmetric adjacency, and memoised tails and minimum degree that
+//!   match the offsets (everything `Graph::check_invariants` pins);
 //! * edge-swap churn preserves the degree sequence *exactly* (and so
 //!   never triggers a CSR rebuild — commits stay on the in-place patch
 //!   path);
@@ -115,8 +115,10 @@ proptest! {
     /// Rewires change degrees, so every mutating commit must take the
     /// **shifted-patch** route (never a full rebuild), and the shifted
     /// CSR must equal a from-scratch construction of the logical edge
-    /// list exactly — offsets, sorted rows and tails are all determined
-    /// by the edge set, so `Graph` equality is the full oracle.
+    /// list exactly — offsets and sorted rows are determined by the edge
+    /// set, so `Graph` equality is the full oracle for the adjacency.
+    /// `==` ignores the memos, so the tails (built every epoch, and so
+    /// carried forward by the next shift) are compared on their own.
     #[test]
     fn rewire_churn_respects_floor_on_every_generator(
         family in 0usize..FAMILIES,
@@ -155,6 +157,7 @@ proptest! {
                 &reference,
                 "shifted CSR diverged from a from-scratch rebuild"
             );
+            prop_assert_eq!(dg.graph().tails(), reference.tails());
             assert_csr_matches_logical(&dg)?;
         }
         prop_assert_eq!(dg.rebuilds(), 0, "rewiring must never force a full rebuild");
@@ -193,12 +196,13 @@ proptest! {
                 &reference,
                 "set_edges diff diverged from a from-scratch rebuild"
             );
+            prop_assert_eq!(dg.graph().tails(), reference.tails());
             assert_csr_matches_logical(&dg)?;
         }
     }
 
     /// Mixed churn: interleaving swap epochs (patch path) and rewire
-    /// epochs (rebuild path) never corrupts the CSR — the overlay and the
+    /// epochs (shift path) never corrupts the CSR — the overlay and the
     /// double buffer compose.
     #[test]
     fn interleaved_patch_and_rebuild_commits_stay_consistent(
@@ -214,6 +218,11 @@ proptest! {
         let rewire = ChurnModel::rewire(4, 1);
         let mut rng = StdRng::seed_from_u64(churn_seed);
         for epoch in 0..epochs {
+            // Built memos must survive the in-place patch, and the shift
+            // must reset them or carry the tails forward correctly;
+            // `check_invariants` verifies whatever is built.
+            dg.graph().tails();
+            dg.graph().min_degree();
             let model = if epoch % 2 == 0 { &swap } else { &rewire };
             model.apply(&mut dg, epoch, &mut rng).unwrap();
             dg.commit();
