@@ -10,11 +10,6 @@
 //! (`--sample-size 2`, with `OD_BENCH_JSON=BENCH_batch.json` mirroring
 //! medians) so the million-node path compiles and executes on every
 //! push; the tracked medians in `CHANGES.md` come from full runs.
-//!
-//! With `--features lane` the `batch/lane8_*` groups add the lane-major
-//! SIMD tier: one iteration advances **8 lanes** by `STEPS_PER_ITER`
-//! shared steps, so divide the reported time by `8 × STEPS_PER_ITER` for
-//! the per-replica ns/step that compares against the exact-tier rows.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
@@ -128,31 +123,6 @@ fn replica_batch_fixed_horizon(c: &mut Criterion) {
     group.finish();
 }
 
-/// The lane tier on the same scale set: 8 lanes per iteration, so the
-/// per-replica step cost is `time / (8 × STEPS_PER_ITER)`. The k = 4
-/// rows hit the full-row-mean arm on the 4-regular tori (no per-lane
-/// neighbour draws); k = 1 pays one counter draw per lane per step.
-#[cfg(feature = "lane")]
-fn lane_batch_step_many(c: &mut Criterion) {
-    use od_core::LaneReplicaBatch;
-    const LANES: usize = 8;
-    let seeds: Vec<u64> = (0..LANES as u64).collect();
-    let mut group = c.benchmark_group("batch/lane8_node_kernel_1024steps");
-    for (name, g) in scale_graphs() {
-        for k in [1usize, 4] {
-            let spec = KernelSpec::Node(NodeModelParams::new(0.5, k).unwrap());
-            group.bench_function(format!("{name}/k{k}"), |b| {
-                let mut batch = LaneReplicaBatch::new(&g, spec, &pm_one(g.n()), &seeds).unwrap();
-                b.iter(|| batch.step_many(STEPS_PER_ITER));
-            });
-        }
-    }
-    group.finish();
-}
-
-#[cfg(not(feature = "lane"))]
-fn lane_batch_step_many(_c: &mut Criterion) {}
-
 /// Building the two million-node CSRs of the end-to-end `big_graph`
 /// sweeps from their generators: rows written directly, no edge list.
 /// Nothing is read afterwards, so the rows time what every cell's graph
@@ -176,7 +146,6 @@ criterion_group!(
     kernel_edge_step_many,
     replica_batch_step_many,
     replica_batch_fixed_horizon,
-    voter_batch_step_many,
-    lane_batch_step_many
+    voter_batch_step_many
 );
 criterion_main!(benches);

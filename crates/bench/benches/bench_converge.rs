@@ -190,39 +190,12 @@ fn converge_t22_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-/// Lane-tier sibling of the headline row: 8 lanes driven to the same ε
-/// under the shared schedule (statistically — not bit — comparable with
-/// the scalar/batched rows above; converged lanes freeze rather than
-/// retire, so this row's total work is `R · max_r T_r`).
-#[cfg(feature = "lane")]
-fn converge_lane(c: &mut Criterion) {
-    use od_core::LaneReplicaBatch;
-    let g = generators::hypercube(16).unwrap();
-    let (k, eps, r) = (2usize, 1e-6, 8usize);
-    let spec = KernelSpec::Node(NodeModelParams::new(0.5, k).unwrap());
-    let mut group = c.benchmark_group("converge/hypercube16");
-    group.sample_size(3);
-    group.bench_function(format!("lane{r}_block/n{}/k{k}", g.n()), |b| {
-        b.iter(|| {
-            let mut batch = LaneReplicaBatch::new(&g, spec, &pm_one(g.n()), &seeds(r)).unwrap();
-            let reports = batch.run_until_converged(eps, u64::MAX, 0).unwrap();
-            assert!(reports.iter().all(|report| report.converged));
-            reports.iter().map(|report| report.steps).sum::<u64>()
-        });
-    });
-    group.finish();
-}
-
-#[cfg(not(feature = "lane"))]
-fn converge_lane(_c: &mut Criterion) {}
-
 criterion_group!(
     benches,
     converge_65536,
     converge_r64,
     converge_million,
     converge_voter,
-    converge_t22_sweep,
-    converge_lane
+    converge_t22_sweep
 );
 criterion_main!(benches);

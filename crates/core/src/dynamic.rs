@@ -2,8 +2,8 @@
 //! evolving one.
 //!
 //! A static graph is the churn-rate-0 case of a time-varying one, so the
-//! batched engines ([`crate::ReplicaBatch`], [`crate::VoterBatch`] and the
-//! lane tier) take a [`Topology`] and advance in **epochs**: a block of
+//! batched engines ([`crate::ReplicaBatch`], [`crate::VoterBatch`]) take
+//! a [`Topology`] and advance in **epochs**: a block of
 //! process steps on the frozen committed CSR, then one epoch-boundary
 //! hook. On a borrowed static graph the hook does nothing; on a churned
 //! topology it applies one [`ChurnModel`] epoch to the owned

@@ -235,7 +235,12 @@ impl ConvergeConfig {
     /// [`CoreError::InvalidEpsilon`] if `epsilon` is negative or not
     /// finite.
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        validate_epsilon(self.epsilon)
+        if !self.epsilon.is_finite() || self.epsilon < 0.0 {
+            return Err(CoreError::InvalidEpsilon {
+                epsilon: self.epsilon,
+            });
+        }
+        Ok(())
     }
 
     /// The effective block length for an `n`-node scenario.
@@ -247,15 +252,6 @@ impl ConvergeConfig {
     pub(crate) fn resolved_threads(&self) -> usize {
         resolve_threads(self.threads)
     }
-}
-
-/// The one home of the "ε must be finite and ≥ 0" threshold rule, shared
-/// by [`ConvergeConfig::validate`] and the lane convergence driver.
-pub(crate) fn validate_epsilon(epsilon: f64) -> Result<(), CoreError> {
-    if !epsilon.is_finite() || epsilon < 0.0 {
-        return Err(CoreError::InvalidEpsilon { epsilon });
-    }
-    Ok(())
 }
 
 /// Resolves a user-facing block-length parameter (`0` = one block per `n`

@@ -53,9 +53,8 @@ pub enum CoreError {
     /// are defined on undirected graphs; directed influence is served by
     /// the synchronous-rounds tier ([`crate::SyncKernel`]).
     DirectedUnsupported,
-    /// A per-edge-weighted graph reached an engine tier with no weighted
-    /// aggregation path (the lane tier's shared step schedule, the voter
-    /// kernels).
+    /// A per-edge-weighted graph reached an engine with no weighted
+    /// aggregation path (the scalar processes, the voter kernels).
     WeightedUnsupported {
         /// The tier or kernel family that cannot consume weights.
         tier: &'static str,
@@ -64,12 +63,6 @@ pub enum CoreError {
     /// graph; a churned [`crate::Topology`] stops at epoch boundaries
     /// ([`crate::StopRule::Block`]).
     ExactStopUnderChurn,
-    /// The lane tier runs the NodeModel only: its EdgeModel kernel
-    /// benched below the exact tier and was removed.
-    EdgeModelUnsupported {
-        /// The tier that cannot run the EdgeModel.
-        tier: &'static str,
-    },
     /// A synchronous-rounds model parameter was out of its admissible
     /// range: DeGroot laziness lies in `[0, 1)`, Friedkin–Johnsen
     /// stubbornness in `(0, 1]`.
@@ -117,9 +110,6 @@ impl fmt::Display for CoreError {
                 f,
                 "the exact stopping rule needs a static graph; churned runs stop at epoch boundaries"
             ),
-            CoreError::EdgeModelUnsupported { tier } => {
-                write!(f, "the {tier} kernels do not run the EdgeModel")
-            }
             CoreError::InvalidSyncParameter { name, value } => {
                 write!(f, "sync model parameter {name} out of range: got {value}")
             }
@@ -157,14 +147,11 @@ mod tests {
         assert!(CoreError::DirectedUnsupported
             .to_string()
             .contains("directed"));
-        assert!(CoreError::WeightedUnsupported { tier: "lane" }
+        assert!(CoreError::WeightedUnsupported { tier: "voter" }
             .to_string()
-            .contains("lane"));
+            .contains("voter"));
         assert!(CoreError::ExactStopUnderChurn
             .to_string()
             .contains("epoch boundaries"));
-        assert!(CoreError::EdgeModelUnsupported { tier: "lane" }
-            .to_string()
-            .contains("EdgeModel"));
     }
 }

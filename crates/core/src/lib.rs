@@ -53,8 +53,6 @@ mod edge_model;
 mod engine;
 mod error;
 mod kernel;
-#[cfg(feature = "lane")]
-mod lane;
 mod node_model;
 mod params;
 mod process;
@@ -76,8 +74,6 @@ pub use error::CoreError;
 #[doc(hidden)]
 pub use kernel::split_every_round;
 pub use kernel::{KernelSpec, StepKernel, VoterKernel};
-#[cfg(feature = "lane")]
-pub use lane::{to_lane_major, to_replica_major, LaneReplicaBatch, LaneRngs};
 pub use node_model::NodeModel;
 pub use params::{EdgeModelParams, Laziness, NodeModelParams};
 pub use process::{OpinionProcess, StepRecord};

@@ -8,7 +8,7 @@
 //! |----|------|-----------------|
 //! | D1 | hash-order | `HashMap`/`HashSet` in engine crates — iteration order may escape into results; use `BTreeMap`/`BTreeSet` or suppress with the reason order never escapes |
 //! | D2 | wall-clock | `SystemTime`/`Instant`/`UNIX_EPOCH` — results must be clock-free |
-//! | D3 | rng-discipline | RNG construction not descending from `SeedSequence`/`seed_from_u64`/`CounterRng::at` (`from_entropy`, `thread_rng`, `OsRng`, `from_rng`, `from_state`) |
+//! | D3 | rng-discipline | RNG construction not descending from `SeedSequence`/`seed_from_u64` (`from_entropy`, `thread_rng`, `OsRng`, `from_rng`, `from_state`) |
 //! | P1 | panic-safety | `unwrap()`/`expect()`/`panic!`/`unreachable!`/`todo!`/`unimplemented!` and literal indexing `ident[0]` on request/sink paths |
 //! | F1 | float-hygiene | `f32` anywhere, and float `==`/`!=` against a float literal (use `to_bits` or suppress for exactly-representable sentinels) |
 //! | SUP | suppression-hygiene | an `od-lint: allow(...)` comment without a reason |
@@ -384,8 +384,8 @@ pub fn lint_source(source: &str, rules: RuleSet) -> FileReport {
                     Rule::D3,
                     line,
                     format!(
-                        "`{name}`: RNGs must descend from `SeedSequence`, \
-                         `StdRng::seed_from_u64` or `CounterRng::at`"
+                        "`{name}`: RNGs must descend from `SeedSequence` or \
+                         `StdRng::seed_from_u64`"
                     ),
                 );
             }
@@ -557,7 +557,7 @@ mod tests {
         let src = "let mut rng = StdRng::from_entropy();\nlet r2 = StdRng::from_state(words);\n";
         let r = lint_source(src, RuleSet::boundary());
         assert_eq!(r.findings.len(), 2, "{:?}", r.findings);
-        let ok = "let mut rng = StdRng::seed_from_u64(7);\nlet c = CounterRng::at(key, ctr);\n";
+        let ok = "let mut rng = StdRng::seed_from_u64(7);\nlet s = SeedSequence::new(1).seed(3);\n";
         assert!(lint_source(ok, RuleSet::boundary()).findings.is_empty());
     }
 

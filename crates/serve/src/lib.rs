@@ -28,6 +28,9 @@
 //! SHUTDOWN                    → BYE (and the daemon stops accepting)
 //! ```
 //!
+//! A command line longer than 4 KiB gets one `ERR` and the connection
+//! is closed; a `SUBMIT` payload may be up to 4 MiB.
+//!
 //! The `SUBMIT` payload is `.scn` text — a single scenario or a `sweep`
 //! grid. It is validated at the boundary (`SweepSpec::parse`), expanded
 //! into a [`od_sim::SweepPlan`], and fanned out to the pool at **cell**

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -21,6 +21,12 @@ use crate::pool::WorkerPool;
 /// Maximum `SUBMIT` payload the daemon accepts (a `.scn` file is a few
 /// hundred bytes; 4 MiB is generous for generated sweeps).
 const MAX_SUBMIT_BYTES: usize = 4 << 20;
+
+/// Maximum command line the daemon reads, newline included (`SUBMIT
+/// <n>` and the bare commands are a few bytes). A longer line gets one
+/// `ERR` and the connection is closed, so a client that never sends a
+/// newline cannot grow the line buffer without bound.
+const MAX_COMMAND_BYTES: usize = 4 << 10;
 
 /// How many block rounds a windowed cell runs between persisted
 /// checkpoints. Small enough that a restart loses little work, large
@@ -182,8 +188,19 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> 
     let mut line = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let limit = MAX_COMMAND_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_line(&mut line)? == 0 {
             return Ok(()); // client hung up
+        }
+        if line.len() > MAX_COMMAND_BYTES {
+            writeln!(
+                writer,
+                "ERR command line exceeds the {MAX_COMMAND_BYTES}-byte limit"
+            )?;
+            writer.flush()?;
+            // FIN before the unread rest of the line turns the close
+            // into a reset, so the client reads the ERR and then EOF.
+            return writer.get_ref().shutdown(Shutdown::Write);
         }
         let command = line.trim_end();
         if command == "PING" {

@@ -5,6 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
+use std::time::Duration;
 
 use od_serve::{MemoCache, Server, ServerConfig};
 use od_sim::{cell_line, contrast_line, run_sweep, sweep_rows, Simulation, SweepSpec};
@@ -91,6 +92,33 @@ fn ping_and_unknown_commands() {
         .starts_with("ERR unknown command"));
     // The connection survives an error and keeps serving.
     assert_eq!(client.command("PING"), "PONG\n");
+}
+
+#[test]
+fn overlong_command_line_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&server);
+    // A daemon that keeps buffering the line never answers; the timeout
+    // turns that into a failure instead of a hang.
+    client
+        .writer
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    // The daemon may close before it has read everything; a failed
+    // write is part of the expected outcome, the response is checked.
+    let _ = client.writer.write_all(&[b'x'; 64 << 10]);
+    let response = client.line();
+    assert!(
+        response.starts_with("ERR command line exceeds"),
+        "got: {response}"
+    );
+    assert_eq!(client.line(), "", "the daemon closes the connection");
+    let mut fresh = Client::connect(&server);
+    assert_eq!(fresh.command("PING"), "PONG\n");
 }
 
 #[test]

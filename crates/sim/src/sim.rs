@@ -9,7 +9,6 @@
 //! | averaging, static, `stop converge` | `run_converge_streaming` (retirement-aware SoA window) |
 //! | averaging, `stop steps` / churn + `stop converge` | `ReplicaBatch::run_epochs` / `run_until_converged` over seed chunks |
 //! | voter | `VoterBatch::run_epochs` / `run_to_consensus` over seed chunks |
-//! | averaging, `tier lane` | `LaneReplicaBatch` (`lane` feature; all replicas in one lane-major batch) |
 //! | `degroot` / `fj` / `weighted_median` | `SyncKernel` deterministic synchronous rounds (the only engine for weighted *directed* graphs) |
 //!
 //! Every batch steps over an `od_core::Topology`: the borrowed static
@@ -27,23 +26,17 @@
 //! inline.
 //!
 //! Weighted graphs (`weights uniform ...` or a 3-column `graph file=`)
-//! run the exact batched engines or the sync kernels; a `tier lane`
-//! spec on a weighted graph falls back to the exact engines, like a
-//! `tier lane` spec compiled without the `lane` feature.
+//! run the exact batched engines or the sync kernels.
 //!
 //! Trial `i` always runs from `SeedSequence::new(spec.seed).seed(i)`, and
-//! every **exact-tier** engine keeps per-trial results a function of that
-//! seed alone — so a scenario's statistics are **bit-identical** to the
-//! direct engine call it replaces, independent of batch size, window
-//! capacity and thread count (gated in `tests/batch_equivalence.rs`).
+//! every engine keeps per-trial results a function of that seed alone —
+//! so a scenario's statistics are **bit-identical** to the direct engine
+//! call it replaces, independent of batch size, window capacity and
+//! thread count (gated in `tests/batch_equivalence.rs`).
 //!
-//! The **lane tier** (`tier lane` in the spec, behind the `lane` cargo
-//! feature) instead runs *all* replicas as one lane-major SIMD batch: the
-//! `batch` and `threads` knobs are documented no-ops there (chunking would
-//! defeat the lane-major layout), per-replica results are drawn from the
-//! correct marginal law but are **not** bit-comparable with the exact
-//! tier, and when the feature is compiled out a `tier lane` spec falls
-//! back to the exact engines. See `od_core::LaneReplicaBatch`.
+//! `tier lane` is a retired spelling: it still parses and validates as
+//! before, and a `tier lane` spec dispatches exactly as its `tier exact`
+//! twin, so its rows are byte-identical.
 
 use crate::runner::monte_carlo_batched_threads;
 use crate::spec::{ModelSpec, OutputSpec, ScenarioSpec, SimError, StopRuleSpec, StopSpec};
@@ -65,39 +58,29 @@ pub enum Engine {
     /// Scalar recorded run: one replica, incremental aggregates, a
     /// potential trace.
     ScalarRecorded,
-    /// `ReplicaBatch::step_many` over seed chunks.
+    /// `ReplicaBatch::run_epochs` over seed chunks: one epoch of the
+    /// whole horizon.
     StaticSteps,
     /// The retirement-aware streaming convergence runner
     /// (`od_core::run_converge_streaming`).
     StaticConverge,
-    /// `ReplicaBatch::step_epoch` over seed chunks on a churned
-    /// `Topology`.
+    /// `ReplicaBatch::run_epochs` over seed chunks on a churned
+    /// `Topology`, in epochs of the churn cadence.
     DynamicSteps,
     /// `ReplicaBatch::run_until_converged` on a churned `Topology`
     /// (epoch-boundary rule).
     DynamicConverge,
-    /// `VoterBatch::step_many`.
+    /// `VoterBatch::run_epochs` over seed chunks: one epoch of the whole
+    /// horizon.
     VoterSteps,
     /// `VoterBatch::run_to_consensus` (O(1) incremental consensus checks,
     /// early retirement).
     VoterConsensus,
-    /// `VoterBatch::run_to_consensus` / `step_epoch` on a churned
+    /// `VoterBatch::run_to_consensus` / `run_epochs` on a churned
     /// `Topology` (incremental discord counter recomputed at churn
     /// boundaries, epoch-boundary retirement). Stopping times are
     /// bit-identical to a per-trial epoch loop.
     DynamicVoter,
-    /// `LaneReplicaBatch::step_many`: the lane-major SIMD tier, all
-    /// replicas in one batch (`lane` feature, `tier lane`).
-    LaneSteps,
-    /// `LaneReplicaBatch::run_until_converged` (block-boundary rule,
-    /// frozen — not retired — lanes).
-    LaneConverge,
-    /// `LaneReplicaBatch::step_epoch` on a churned `Topology`: lane
-    /// kernels over one shared churn trajectory.
-    DynamicLaneSteps,
-    /// `LaneReplicaBatch::run_until_converged` on a churned `Topology`
-    /// (epoch-boundary rule, frozen lanes).
-    DynamicLaneConverge,
     /// `od_core::SyncKernel`: deterministic synchronous rounds for the
     /// `degroot` / `fj` / `weighted_median` models — the only engine
     /// that runs weighted *directed* graphs.
@@ -115,10 +98,6 @@ impl fmt::Display for Engine {
             Engine::VoterSteps => "voter-batch",
             Engine::VoterConsensus => "voter-consensus",
             Engine::DynamicVoter => "dynamic-voter",
-            Engine::LaneSteps => "lane-batch",
-            Engine::LaneConverge => "lane-converge",
-            Engine::DynamicLaneSteps => "dynamic-lane-batch",
-            Engine::DynamicLaneConverge => "dynamic-lane-converge",
             Engine::SyncRounds => "sync-rounds",
         };
         write!(f, "{name}")
@@ -437,31 +416,15 @@ impl Simulation {
         if self.spec.model.is_sync() {
             return Engine::SyncRounds;
         }
-        // `tier lane` only takes effect when the `lane` feature is
-        // compiled in — otherwise the spec (still valid) falls back to
-        // the exact engines. Validation already restricts lane specs to
-        // averaging models without traces, with block/pi stopping.
-        // Edge-model lane specs also fall back to the exact engines:
-        // the lane tier has no EdgeModel kernel (it benched below the
-        // exact tier, and `tier lane` is a never-slower knob). Weighted
-        // graphs fall back too: the lane kernels reject per-edge
-        // weights, the exact batched kernels aggregate them.
-        let lane = cfg!(feature = "lane")
-            && self.spec.tier == crate::spec::TierSpec::Lane
-            && matches!(self.spec.model, ModelSpec::Node { .. })
-            && !self.graph.is_weighted();
+        // The tier is not consulted: `tier lane` runs the exact engines.
         match (&self.spec.model, &self.spec.churn, &self.spec.stop) {
             (ModelSpec::Voter, None, StopSpec::Consensus { .. }) => Engine::VoterConsensus,
             (ModelSpec::Voter, None, _) => Engine::VoterSteps,
             (ModelSpec::Voter, Some(_), _) => Engine::DynamicVoter,
             _ if matches!(self.spec.output, OutputSpec::Trace { .. }) => Engine::ScalarRecorded,
-            (_, None, StopSpec::Converge { .. }) if lane => Engine::LaneConverge,
             (_, None, StopSpec::Converge { .. }) => Engine::StaticConverge,
-            (_, None, _) if lane => Engine::LaneSteps,
             (_, None, _) => Engine::StaticSteps,
-            (_, Some(_), StopSpec::Converge { .. }) if lane => Engine::DynamicLaneConverge,
             (_, Some(_), StopSpec::Converge { .. }) => Engine::DynamicConverge,
-            (_, Some(_), _) if lane => Engine::DynamicLaneSteps,
             (_, Some(_), _) => Engine::DynamicSteps,
         }
     }
@@ -484,18 +447,6 @@ impl Simulation {
                 self.run_voter_batch()?
             }
             Engine::SyncRounds => self.run_sync_rounds()?,
-            #[cfg(feature = "lane")]
-            Engine::LaneSteps
-            | Engine::LaneConverge
-            | Engine::DynamicLaneSteps
-            | Engine::DynamicLaneConverge => self.run_lane_batch()?,
-            #[cfg(not(feature = "lane"))]
-            Engine::LaneSteps
-            | Engine::LaneConverge
-            | Engine::DynamicLaneSteps
-            | Engine::DynamicLaneConverge => {
-                unreachable!("engine() never selects a lane engine without the lane feature")
-            }
         };
         Ok(SimulationReport {
             engine,
@@ -819,45 +770,6 @@ impl Simulation {
             mutations: 0,
         }])
     }
-
-    /// The lane tier runs all replicas as one lane-major batch, so the
-    /// `batch`/`threads` chunking knobs do not apply; lane `j` draws its
-    /// private randomness from trial seed `j`, and the shared step
-    /// schedule is a deterministic function of the whole seed set.
-    #[cfg(feature = "lane")]
-    fn run_lane_batch(&self) -> Result<Vec<TrialResult>, SimError> {
-        let mut batch = od_core::LaneReplicaBatch::with_topology(
-            self.topology(),
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-        )?;
-        let StopSpec::Steps { steps } = self.spec.stop else {
-            let StopSpec::Converge {
-                epsilon, budget, ..
-            } = self.spec.stop
-            else {
-                unreachable!("validate pins lane specs to steps/converge stops")
-            };
-            // validate() pinned rule=block and potential=pi for lane specs.
-            let reports = batch.run_until_converged(epsilon, budget, self.check_every())?;
-            return Ok(reports.iter().map(TrialResult::from_convergence).collect());
-        };
-        let (epoch, epochs) = self.epochs(steps);
-        for _ in 0..epochs {
-            batch.step_epoch(epoch)?;
-        }
-        Ok((0..batch.lanes())
-            .map(|r| TrialResult {
-                steps,
-                converged: false,
-                potential: batch.replica_potential_pi(r),
-                estimate: batch.replica_weighted_average(r),
-                winner: None,
-                mutations: batch.topology().mutations(),
-            })
-            .collect())
-    }
 }
 
 #[cfg(test)]
@@ -1123,48 +1035,58 @@ mod tests {
         }
     }
 
+    /// Runs `spec` under `tier lane` and under `tier exact`, asserts the
+    /// two dispatch to `expect` and return bit-identical trials, and
+    /// returns the lane run's report.
+    fn assert_lane_is_exact(spec: &ScenarioSpec, expect: Engine) -> SimulationReport {
+        let run = |tier| {
+            let mut spec = spec.clone();
+            spec.tier = tier;
+            let sim = Simulation::from_spec(&spec).unwrap();
+            assert_eq!(sim.engine(), expect);
+            let report = sim.run().unwrap();
+            assert_eq!(report.engine, expect);
+            report
+        };
+        let lane = run(crate::spec::TierSpec::Lane);
+        let exact = run(crate::spec::TierSpec::Exact);
+        let bits = |r: &SimulationReport| {
+            r.trials
+                .iter()
+                .map(|t| {
+                    (
+                        t.steps,
+                        t.converged,
+                        t.potential.to_bits(),
+                        t.estimate.to_bits(),
+                        t.winner,
+                        t.mutations,
+                    )
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&lane), bits(&exact));
+        lane
+    }
+
     #[test]
-    fn lane_tier_dispatch_and_fallback() {
-        // `tier lane` selects the lane engines when the feature is
-        // compiled in and falls back to the exact engines otherwise —
-        // the same spec stays runnable either way.
-        let lane_on = cfg!(feature = "lane");
+    fn lane_tier_runs_the_exact_engines_bit_for_bit() {
+        // `tier lane` is a retired spelling: in every shape it dispatches
+        // to the same engine as its `tier exact` twin and returns the
+        // same trials, bit for bit.
         let mut spec = converge_spec();
-        spec.tier = crate::spec::TierSpec::Lane;
         spec.stop = StopSpec::Converge {
             epsilon: 1e-8,
             rule: StopRuleSpec::Block,
             potential: PotentialSpec::Pi,
             budget: 1_000_000,
         };
-        let sim = Simulation::from_spec(&spec).unwrap();
-        let expect = if lane_on {
-            Engine::LaneConverge
-        } else {
-            Engine::StaticConverge
-        };
-        assert_eq!(sim.engine(), expect);
-        let report = sim.run().unwrap();
-        assert_eq!(report.engine, expect);
+        let report = assert_lane_is_exact(&spec, Engine::StaticConverge);
         assert_eq!(report.converged_count(), 5);
-        for trial in &report.trials {
-            assert!(trial.potential <= 1e-8);
-            // The F estimate stays in the initial hull under both tiers.
-            assert!((-1.0..=1.0).contains(&trial.estimate));
-        }
 
         spec.stop = StopSpec::Steps { steps: 5_000 };
-        let sim = Simulation::from_spec(&spec).unwrap();
-        let expect = if lane_on {
-            Engine::LaneSteps
-        } else {
-            Engine::StaticSteps
-        };
-        assert_eq!(sim.engine(), expect);
-        let report = sim.run().unwrap();
-        assert_eq!(report.engine, expect);
+        let report = assert_lane_is_exact(&spec, Engine::StaticSteps);
         assert_eq!(report.trials.len(), 5);
-        assert!(report.trials.iter().all(|t| t.estimate.is_finite()));
 
         spec.graph = GraphSpec::Torus { rows: 4, cols: 4 };
         spec.churn = Some(ChurnSpec {
@@ -1173,15 +1095,7 @@ mod tests {
             seed: 77,
         });
         spec.stop = StopSpec::Steps { steps: 16 * 50 };
-        let sim = Simulation::from_spec(&spec).unwrap();
-        let expect = if lane_on {
-            Engine::DynamicLaneSteps
-        } else {
-            Engine::DynamicSteps
-        };
-        assert_eq!(sim.engine(), expect);
-        let report = sim.run().unwrap();
-        assert_eq!(report.engine, expect);
+        let report = assert_lane_is_exact(&spec, Engine::DynamicSteps);
         assert!(report.max_mutations() > 0);
 
         spec.stop = StopSpec::Converge {
@@ -1190,19 +1104,8 @@ mod tests {
             potential: PotentialSpec::Pi,
             budget: 16 * 5_000,
         };
-        let sim = Simulation::from_spec(&spec).unwrap();
-        let expect = if lane_on {
-            Engine::DynamicLaneConverge
-        } else {
-            Engine::DynamicConverge
-        };
-        assert_eq!(sim.engine(), expect);
-        let report = sim.run().unwrap();
-        assert_eq!(report.engine, expect);
+        let report = assert_lane_is_exact(&spec, Engine::DynamicConverge);
         assert_eq!(report.converged_count(), 5);
-        for trial in &report.trials {
-            assert_eq!(trial.steps % 16, 0, "epoch-granular stopping");
-        }
     }
 
     #[test]
@@ -1395,8 +1298,7 @@ mod tests {
         };
         let sim = Simulation::from_spec(&spec).unwrap();
         assert!(sim.graph().is_weighted());
-        // …and a `tier lane` spelling falls back to the exact engines
-        // whether or not the lane feature is compiled in.
+        // …and a `tier lane` spelling runs the exact engines.
         spec.tier = crate::spec::TierSpec::Lane;
         spec.stop = StopSpec::Converge {
             epsilon: 1e-8,

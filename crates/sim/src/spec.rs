@@ -836,21 +836,20 @@ pub enum StopSpec {
     },
 }
 
-/// Which kernel tier runs the scenario's hot loops.
+/// The spec's `tier` line. There is one kernel tier; the enum keeps the
+/// `tier` line's two spellings so every spec text parses, validates and
+/// renders (and so keys the `od-serve` cache) as it always has.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TierSpec {
-    /// The bit-exact reference kernels (the default): per-trial results
-    /// are bit-identical to the direct engine calls they replace,
-    /// independent of batch size and thread count.
+    /// The bit-exact kernels (the default): per-trial results are
+    /// bit-identical to the direct engine calls they replace, independent
+    /// of batch size and thread count.
     #[default]
     Exact,
-    /// The lane-major SIMD tier (`lane` cargo feature): all replicas of
-    /// one node sit adjacent in memory so a single CSR gather feeds the
-    /// whole vector register. Every replica's marginal law is exactly
-    /// the process law, but the step schedule is shared across lanes, so
-    /// results are **statistically equivalent** to — not bit-identical
-    /// with — the exact tier. When the `lane` feature is compiled out,
-    /// dispatch falls back to the exact tier.
+    /// A retired spelling that runs the exact engines, so its results are
+    /// bit-identical to the [`TierSpec::Exact`] twin's. It keeps its
+    /// validation rules (averaging models only, no trace, `rule=block`
+    /// and the `pi` potential for `stop converge`, no sync models).
     Lane,
 }
 
@@ -907,8 +906,8 @@ pub struct ScenarioSpec {
     /// Replicas per structure-of-arrays batch / streaming-window
     /// capacity (0 = auto). Results never depend on this.
     pub batch: usize,
-    /// Which kernel tier runs the hot loops ([`TierSpec::Exact`] by
-    /// default). Only the exact tier is bit-reproducible.
+    /// The `tier` line ([`TierSpec::Exact`] by default). Both spellings
+    /// run the same engines.
     pub tier: TierSpec,
     /// Output selection.
     pub output: OutputSpec,
@@ -948,7 +947,7 @@ impl ScenarioSpec {
     /// This is exactly [`fmt::Display`], named to document the contract
     /// the `od-serve` memo cache relies on: `parse` / `Display` round-
     /// trip exactly, so two specs render the same key **iff** they are
-    /// equal — and because every exact-tier engine makes trial `i` a
+    /// equal — and because every engine makes trial `i` a
     /// pure function of `SeedSequence::new(seed).seed(i)`, equal keys
     /// imply bit-identical results. The `seed` line is part of the
     /// rendered text, so the key already covers the seed.
