@@ -15,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use od_bench::pm_one;
 use od_core::{
-    run_converge_streaming, ConvergeConfig, KernelSpec, NodeModelParams, ReplicaBatch, StopRule,
+    ConvergeConfig, ConvergeWindow, KernelSpec, NodeModelParams, ReplicaBatch, StopRule,
 };
 use od_graph::generators;
 use od_sim::{run_sweep, ScenarioSpec, Simulation, SweepSpec};
@@ -44,7 +44,7 @@ fn direct(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_function("direct_streaming16/n4096/k2", |b| {
         b.iter(|| {
-            let reports = run_converge_streaming(
+            let mut window = ConvergeWindow::new(
                 &g,
                 spec,
                 &pm_one(g.n()),
@@ -53,6 +53,8 @@ fn direct(c: &mut Criterion) {
                 ConvergeConfig::new(1e-6, 1_000_000_000).with_threads(1),
             )
             .unwrap();
+            window.run_to_completion();
+            let reports = window.reports();
             assert!(reports.iter().all(|r| r.converged));
             reports.iter().map(|r| r.steps).sum::<u64>()
         });
@@ -85,7 +87,7 @@ fn streaming_vs_fixed(c: &mut Criterion) {
     group.sample_size(5);
     group.bench_function("streaming_window4/n4096/k2", |b| {
         b.iter(|| {
-            let reports = run_converge_streaming(
+            let mut window = ConvergeWindow::new(
                 &g,
                 spec,
                 &pm_one(g.n()),
@@ -94,6 +96,8 @@ fn streaming_vs_fixed(c: &mut Criterion) {
                 ConvergeConfig::new(1e-6, 1_000_000_000).with_threads(1),
             )
             .unwrap();
+            window.run_to_completion();
+            let reports = window.reports();
             reports.iter().map(|r| r.steps).sum::<u64>()
         });
     });

@@ -48,7 +48,7 @@ use crate::kernel::{
     count_discordant_edges, repeat_rows, retire_all, run_block_parallel, run_steps,
     run_voter_steps_tracked, slice_average, slice_potential_and_mean, slice_potential_pi,
     slice_weighted_average, swap_rows, validate_values, AveragingRows, BlockCheck, BlockOutcome,
-    KernelSpec, PotentialTracker, RetiringRows, VoterRows,
+    KernelSpec, PotentialTracker, RetiringRows, Unchecked, VoterRows,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -222,6 +222,7 @@ impl<'g> ReplicaBatch<'g> {
                 &mut self.perm,
                 steps,
                 rng,
+                &mut Unchecked,
             );
         }
         self.time += steps;
@@ -824,7 +825,7 @@ impl RetiringRows for Averaging<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::window::run_converge_streaming;
+    use crate::window::ConvergeWindow;
     use crate::{NodeModel, NodeModelParams, OpinionProcess, StepKernel, VoterModel};
     use od_graph::{generators, ChurnModel, DynamicGraph};
 
@@ -1335,7 +1336,7 @@ mod tests {
             let reference = batch.run_until_converged(config).unwrap();
             for capacity in [1usize, 2, 3, seeds.len(), 100] {
                 for threads in [1usize, 3] {
-                    let got = run_converge_streaming(
+                    let mut window = ConvergeWindow::new(
                         &g,
                         spec,
                         &xi0,
@@ -1344,8 +1345,10 @@ mod tests {
                         config.with_threads(threads),
                     )
                     .unwrap();
+                    window.run_to_completion();
                     assert_eq!(
-                        got, reference,
+                        window.reports(),
+                        reference,
                         "capacity={capacity}, threads={threads}, {stop:?}"
                     );
                 }
@@ -1362,18 +1365,19 @@ mod tests {
         let spec = KernelSpec::Edge(crate::EdgeModelParams::new(0.5).unwrap());
         let seeds: Vec<u64> = (0..9).collect();
         let config = crate::ConvergeConfig::new(1e-30, 123).with_check_every(50);
-        let reports = run_converge_streaming(&g, spec, &xi0, &seeds, 2, config).unwrap();
-        assert_eq!(reports.len(), 9);
-        for report in &reports {
+        let mut window = ConvergeWindow::new(&g, spec, &xi0, &seeds, 2, config).unwrap();
+        window.run_to_completion();
+        assert_eq!(window.reports().len(), 9);
+        for report in window.reports() {
             assert!(!report.converged);
             assert_eq!(report.steps, 123);
         }
         // Empty seed list and invalid inputs.
-        assert!(run_converge_streaming(&g, spec, &xi0, &[], 4, config)
-            .unwrap()
-            .is_empty());
+        let mut window = ConvergeWindow::new(&g, spec, &xi0, &[], 4, config).unwrap();
+        window.run_to_completion();
+        assert!(window.reports().is_empty());
         assert!(matches!(
-            run_converge_streaming(
+            ConvergeWindow::new(
                 &g,
                 spec,
                 &xi0,
@@ -1384,7 +1388,7 @@ mod tests {
             Err(CoreError::InvalidEpsilon { .. })
         ));
         assert!(matches!(
-            run_converge_streaming(&g, spec, &xi0[..3], &[1], 4, config),
+            ConvergeWindow::new(&g, spec, &xi0[..3], &[1], 4, config),
             Err(CoreError::LengthMismatch { .. })
         ));
     }

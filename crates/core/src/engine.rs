@@ -1,5 +1,5 @@
-//! Convergence engine: drives a process to ε-convergence, estimates the
-//! convergence value `F`, and records potential trajectories.
+//! Convergence engine: drives a process to ε-convergence and estimates
+//! the convergence value `F`.
 //!
 //! Two drivers coexist: [`run_until_converged`] steps a scalar
 //! [`OpinionProcess`] one update at a time, checking the incrementally
@@ -228,13 +228,19 @@ impl ConvergeConfig {
         self
     }
 
-    /// Validates the threshold.
+    /// Validates the threshold: a finite `ε ≥ 0`, or exactly
+    /// `f64::NEG_INFINITY`, which means "never stops" (no potential lies
+    /// below it, so every trial runs its whole budget; `output trace`
+    /// cells sample `φ` on such a [`crate::ConvergeWindow`]).
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidEpsilon`] if `epsilon` is negative or not
-    /// finite.
+    /// [`CoreError::InvalidEpsilon`] if `epsilon` is NaN, `+∞` or a
+    /// negative finite number.
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        if self.epsilon == f64::NEG_INFINITY {
+            return Ok(());
+        }
         if !self.epsilon.is_finite() || self.epsilon < 0.0 {
             return Err(CoreError::InvalidEpsilon {
                 epsilon: self.epsilon,
@@ -276,30 +282,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     } else {
         threads
     }
-}
-
-/// Runs `total_steps` steps, sampling `(t, φ(ξ(t)))` every `sample_every`
-/// steps (including `t = 0`). Used by the potential-drop experiments
-/// (Prop. B.1 / Prop. D.1).
-///
-/// # Panics
-///
-/// Panics if `sample_every == 0`.
-pub fn trace_potential<P: OpinionProcess + ?Sized>(
-    process: &mut P,
-    rng: &mut dyn RngCore,
-    total_steps: u64,
-    sample_every: u64,
-) -> Vec<(u64, f64)> {
-    assert!(sample_every > 0, "sample_every must be positive");
-    let mut trace = vec![(process.time(), process.state().potential_pi())];
-    for _ in 0..total_steps {
-        process.step(rng);
-        if process.time().is_multiple_of(sample_every) {
-            trace.push((process.time(), process.state().potential_pi()));
-        }
-    }
-    trace
 }
 
 #[cfg(test)]
@@ -353,19 +335,6 @@ mod tests {
         let mut m = EdgeModel::new(&g, (0..30).map(f64::from).collect(), params).unwrap();
         let mut r = StdRng::seed_from_u64(4);
         assert_eq!(estimate_convergence_value(&mut m, &mut r, 1e-30, 10), None);
-    }
-
-    #[test]
-    fn trace_records_monotone_trend() {
-        let g = generators::complete(8).unwrap();
-        let params = NodeModelParams::new(0.5, 1).unwrap();
-        let mut m = NodeModel::new(&g, (0..8).map(f64::from).collect(), params).unwrap();
-        let mut r = StdRng::seed_from_u64(5);
-        let trace = trace_potential(&mut m, &mut r, 4_000, 500);
-        assert_eq!(trace.len(), 1 + 8);
-        assert_eq!(trace[0].0, 0);
-        // Potential decays substantially over 4000 steps on K_8.
-        assert!(trace.last().unwrap().1 < trace[0].1 * 0.5);
     }
 
     #[test]
@@ -472,10 +441,19 @@ mod tests {
             ConvergeConfig::new(-1e-9, 10).validate(),
             Err(crate::CoreError::InvalidEpsilon { .. })
         ));
-        assert!(matches!(
-            ConvergeConfig::new(f64::NAN, 10).validate(),
-            Err(crate::CoreError::InvalidEpsilon { .. })
-        ));
+        // −∞ means "never stops"; NaN, +∞ and negative finite ε do not.
+        assert!(ConvergeConfig::new(f64::NEG_INFINITY, 10)
+            .validate()
+            .is_ok());
+        for epsilon in [f64::NAN, f64::INFINITY, -1e-9, f64::MIN] {
+            assert!(
+                matches!(
+                    ConvergeConfig::new(epsilon, 10).validate(),
+                    Err(crate::CoreError::InvalidEpsilon { .. })
+                ),
+                "epsilon {epsilon}"
+            );
+        }
         let c = ConvergeConfig::new(1e-9, 10);
         assert_eq!(c.resolved_check_every(64), 64);
         assert_eq!(c.with_check_every(7).resolved_check_every(64), 7);
@@ -492,15 +470,5 @@ mod tests {
         let mut kernel = StepKernel::new(&g, vec![0.0; 4], spec).unwrap();
         let mut r = StdRng::seed_from_u64(3);
         run_kernel_until_converged(&mut kernel, &mut r, 1e-10, 10, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "sample_every")]
-    fn trace_zero_interval_panics() {
-        let g = generators::cycle(4).unwrap();
-        let params = NodeModelParams::new(0.5, 1).unwrap();
-        let mut m = NodeModel::new(&g, vec![0.0; 4], params).unwrap();
-        let mut r = StdRng::seed_from_u64(6);
-        trace_potential(&mut m, &mut r, 10, 0);
     }
 }

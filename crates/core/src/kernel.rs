@@ -17,6 +17,11 @@
 //! `s` calls of `OpinionProcess::step` from seed `σ` exactly (see
 //! `tests/batch_equivalence.rs` and the kernel property suite).
 //!
+//! Each model's update is written once, in the shared inner loop
+//! `run_steps`: one loop per model, generic over a stop check (none for
+//! plain stepping, the tracked potential for the exact ε-rule). Every
+//! batched driver advances through it.
+//!
 //! [`VoterKernel`] is the analogous fast path for the discrete voter
 //! model; [`crate::ReplicaBatch`] runs many independent replicas of either
 //! kernel in a structure-of-arrays layout sharing one CSR instance.
@@ -144,6 +149,13 @@ fn weighted_sample_mean(
     }
 }
 
+/// Unweighted NodeModel aggregation: the plain mean of the sampled
+/// values (`Some` always; the signature matches [`weighted_sample_mean`]).
+#[inline]
+fn sample_mean(_graph: &Graph, _u: NodeId, sample: &[NodeId], values: &[f64]) -> Option<f64> {
+    Some(sample.iter().map(|&v| values[v as usize]).sum::<f64>() / sample.len() as f64)
+}
+
 /// Weighted EdgeModel pull target for CSR slot `slot` (tail `t`, head
 /// `h`): `ŵ·ξ_h + (1−ŵ)·ξ_t` with pull strength `ŵ = w_slot /
 /// max_row_weight(t) ∈ [0, 1]`, so the heaviest incident edge pulls fully
@@ -174,21 +186,74 @@ fn weighted_pull_target(
     }
 }
 
-/// Advances `steps` steps of `spec` over `values`, drawing all randomness
-/// from `rng`. The model dispatch and parameter reads are hoisted out of
-/// the loop; `sample`/`perm` are caller-owned scratch so the loop performs
-/// zero heap allocation once the buffers are at capacity.
+/// What a step loop checks before each step and records after each
+/// update. Plain stepping uses [`Unchecked`], which never stops and
+/// records nothing; the exact stopping rule uses [`Tracked`].
+pub(crate) trait StepCheck {
+    /// Whether the run stops before its next step.
+    fn stop(&self) -> bool;
+    /// Records the update `ξ_u: old → new`, already written to `values`.
+    fn record(&mut self, u: usize, old: f64, new: f64, values: &[f64]);
+}
+
+/// Plain stepping: never stops, records nothing.
+pub(crate) struct Unchecked;
+
+impl StepCheck for Unchecked {
+    #[inline]
+    fn stop(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn record(&mut self, _u: usize, _old: f64, _new: f64, _values: &[f64]) {}
+}
+
+/// The exact stopping rule: the tracked O(1) potential against `ε`,
+/// checked before every step (so an already-converged state takes zero
+/// steps). The tracker persists across calls, so chaining block-sized
+/// calls is indistinguishable from one long call.
+pub(crate) struct Tracked<'a> {
+    pub tracker: PotentialTracker,
+    pub pi: &'a [f64],
+    pub epsilon: f64,
+}
+
+impl StepCheck for Tracked<'_> {
+    #[inline]
+    fn stop(&self) -> bool {
+        self.tracker.potential_pi() <= self.epsilon
+    }
+
+    #[inline]
+    fn record(&mut self, u: usize, old: f64, new: f64, values: &[f64]) {
+        self.tracker.record(self.pi[u], old, new);
+        self.tracker.maybe_refresh(self.pi, values);
+    }
+}
+
+/// Advances up to `steps` steps of `spec` over `values`, drawing all
+/// randomness from `rng`, and stops early at the first step where `check`
+/// says so. Returns `(steps taken, stopped)`. The model dispatch and
+/// parameter reads are hoisted out of the loop; `sample`/`perm` are
+/// caller-owned scratch so the loop performs zero heap allocation once
+/// the buffers are at capacity.
 ///
-/// This is the one inner loop shared by [`StepKernel`] and
-/// [`crate::ReplicaBatch`]; its per-step arithmetic mirrors the scalar
-/// `NodeModel`/`EdgeModel` implementations expression-for-expression.
+/// This is the one inner loop of every batched driver — [`StepKernel`],
+/// [`crate::ReplicaBatch`] and [`crate::ConvergeWindow`] — with one loop
+/// per model ([`node_steps`], [`edge_steps`]), generic over its check.
+/// Its per-step arithmetic mirrors the scalar `NodeModel`/`EdgeModel`
+/// implementations expression-for-expression: lazy skips consume their
+/// coin flip and count against the budget, as in the scalar engine.
 ///
-/// Weighted graphs take dedicated loop bodies (gated once, outside the
-/// step loop, on [`Graph::is_weighted`]) built from
-/// [`weighted_sample_mean`] / [`weighted_pull_target`]; unit-weight
-/// weighted graphs reproduce the unweighted expressions bit-for-bit, and
+/// Weighted graphs take the weighted update ([`weighted_sample_mean`] /
+/// [`weighted_pull_target`]), chosen once, outside the step loop, on
+/// [`Graph::is_weighted`]: each model's loop is instantiated once per
+/// update, so neither branches on weights per step. Unit-weight weighted
+/// graphs reproduce the unweighted expressions bit-for-bit, and
 /// unweighted graphs never touch the weighted code at all.
-pub(crate) fn run_steps<R: RngCore + ?Sized>(
+#[allow(clippy::too_many_arguments)] // the loop state plus its check
+pub(crate) fn run_steps<R: RngCore + ?Sized, C: StepCheck>(
     graph: &Graph,
     spec: KernelSpec,
     values: &mut [f64],
@@ -196,67 +261,120 @@ pub(crate) fn run_steps<R: RngCore + ?Sized>(
     perm: &mut Vec<u32>,
     steps: u64,
     rng: &mut R,
-) {
+    check: &mut C,
+) -> (u64, bool) {
     match spec {
         KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
+            let row = (values, sample, perm);
             if graph.is_weighted() {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let u = rng.gen_range(0..n);
-                    sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
-                    if let Some(mean) = weighted_sample_mean(graph, u as NodeId, sample, values) {
-                        values[u] = alpha * values[u] + (1.0 - alpha) * mean;
-                    }
-                }
+                node_steps(graph, params, row, steps, rng, check, weighted_sample_mean)
             } else {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let u = rng.gen_range(0..n);
-                    sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
-                    let mean = sample.iter().map(|&v| values[v as usize]).sum::<f64>()
-                        / sample.len() as f64;
-                    values[u] = alpha * values[u] + (1.0 - alpha) * mean;
-                }
+                node_steps(graph, params, row, steps, rng, check, sample_mean)
             }
         }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let (tails, heads) = (graph.tails(), graph.heads());
-            let alpha = params.alpha();
-            let lazy = params.laziness() == Laziness::Lazy;
-            if let Some(weights) = graph.weight_slice() {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let slot = rng.gen_range(0..two_m);
-                    let (tail, head) = (tails[slot], heads[slot]);
-                    if let Some(target) =
-                        weighted_pull_target(graph, weights, slot, tail, head, values)
-                    {
-                        values[tail as usize] =
-                            alpha * values[tail as usize] + (1.0 - alpha) * target;
-                    }
-                }
-            } else {
-                for _ in 0..steps {
-                    if lazy && rng.gen_bool(0.5) {
-                        continue;
-                    }
-                    let slot = rng.gen_range(0..two_m);
-                    let (tail, head) = (tails[slot] as usize, heads[slot] as usize);
-                    values[tail] = alpha * values[tail] + (1.0 - alpha) * values[head];
-                }
+        KernelSpec::Edge(params) => match graph.weight_slice() {
+            Some(weights) => {
+                let target = |slot, tail, head, values: &[f64]| {
+                    weighted_pull_target(graph, weights, slot, tail, head, values)
+                };
+                edge_steps(graph, params, values, steps, rng, check, target)
             }
+            None => {
+                let target = |_, _, head: NodeId, values: &[f64]| Some(values[head as usize]);
+                edge_steps(graph, params, values, steps, rng, check, target)
+            }
+        },
+    }
+}
+
+/// The NodeModel's step loop: uniform node `u`, `k` sampled neighbours,
+/// `ξ_u ← α ξ_u + (1−α)·mean`, where `mean` is `None` when the sample
+/// has nothing to offer (every sampled weight zero; the value stays put
+/// and nothing is recorded).
+fn node_steps<R, C, M>(
+    graph: &Graph,
+    params: NodeModelParams,
+    (values, sample, perm): (&mut [f64], &mut Vec<NodeId>, &mut Vec<u32>),
+    max_steps: u64,
+    rng: &mut R,
+    check: &mut C,
+    mean: M,
+) -> (u64, bool)
+where
+    R: RngCore + ?Sized,
+    C: StepCheck,
+    M: Fn(&Graph, NodeId, &[NodeId], &[f64]) -> Option<f64>,
+{
+    let n = graph.n();
+    let alpha = params.alpha();
+    let k = params.k();
+    let lazy = params.laziness() == Laziness::Lazy;
+    let mut taken = 0u64;
+    loop {
+        if check.stop() {
+            return (taken, true);
         }
+        if taken == max_steps {
+            return (taken, false);
+        }
+        taken += 1;
+        if lazy && rng.gen_bool(0.5) {
+            continue;
+        }
+        let u = rng.gen_range(0..n);
+        sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
+        let Some(mean) = mean(graph, u as NodeId, sample, values) else {
+            continue;
+        };
+        let old = values[u];
+        let new = alpha * old + (1.0 - alpha) * mean;
+        values[u] = new;
+        check.record(u, old, new, values);
+    }
+}
+
+/// The EdgeModel's step loop: uniform directed edge `(tail, head)` at CSR
+/// slot `slot`, `ξ_tail ← α ξ_tail + (1−α)·target`, where `target` is
+/// `None` for a zero-weight slot (no pull, nothing recorded).
+fn edge_steps<R, C, T>(
+    graph: &Graph,
+    params: EdgeModelParams,
+    values: &mut [f64],
+    max_steps: u64,
+    rng: &mut R,
+    check: &mut C,
+    target: T,
+) -> (u64, bool)
+where
+    R: RngCore + ?Sized,
+    C: StepCheck,
+    T: Fn(usize, NodeId, NodeId, &[f64]) -> Option<f64>,
+{
+    let two_m = graph.directed_edge_count();
+    let (tails, heads) = (graph.tails(), graph.heads());
+    let alpha = params.alpha();
+    let lazy = params.laziness() == Laziness::Lazy;
+    let mut taken = 0u64;
+    loop {
+        if check.stop() {
+            return (taken, true);
+        }
+        if taken == max_steps {
+            return (taken, false);
+        }
+        taken += 1;
+        if lazy && rng.gen_bool(0.5) {
+            continue;
+        }
+        let slot = rng.gen_range(0..two_m);
+        let (tail, head) = (tails[slot], heads[slot]);
+        let Some(target) = target(slot, tail, head, values) else {
+            continue;
+        };
+        let old = values[tail as usize];
+        let new = alpha * old + (1.0 - alpha) * target;
+        values[tail as usize] = new;
+        check.record(tail as usize, old, new, values);
     }
 }
 
@@ -503,107 +621,6 @@ pub(crate) struct TrackerState {
     pub(crate) updates_since_refresh: u64,
 }
 
-/// Advances up to `max_steps` steps of `spec` over `values` with the
-/// tracked O(1) per-step convergence check, stopping at the first step `T`
-/// (counted from this call) with `φ(ξ(T)) ≤ ε`. Returns `(steps taken,
-/// converged)`.
-///
-/// The loop structure mirrors the scalar engine exactly: the potential is
-/// checked *before* each step (so an already-converged state takes zero
-/// steps), lazy skips consume their coin flip and count against the
-/// budget, and the update arithmetic is the same expression as
-/// [`run_steps`]. `tracker` persists across calls, so chaining block-sized
-/// calls is indistinguishable from one long call.
-#[allow(clippy::too_many_arguments)] // mirrors run_steps + tracking state
-pub(crate) fn run_steps_tracked_until<R: RngCore + ?Sized>(
-    graph: &Graph,
-    spec: KernelSpec,
-    pi: &[f64],
-    values: &mut [f64],
-    tracker: &mut PotentialTracker,
-    sample: &mut Vec<NodeId>,
-    perm: &mut Vec<u32>,
-    max_steps: u64,
-    epsilon: f64,
-    rng: &mut R,
-) -> (u64, bool) {
-    let mut taken = 0u64;
-    match spec {
-        KernelSpec::Node(params) => {
-            let n = graph.n();
-            let alpha = params.alpha();
-            let k = params.k();
-            let lazy = params.laziness() == Laziness::Lazy;
-            let weighted = graph.is_weighted();
-            loop {
-                if tracker.potential_pi() <= epsilon {
-                    return (taken, true);
-                }
-                if taken == max_steps {
-                    return (taken, false);
-                }
-                taken += 1;
-                if lazy && rng.gen_bool(0.5) {
-                    continue;
-                }
-                let u = rng.gen_range(0..n);
-                sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
-                let mean = if weighted {
-                    match weighted_sample_mean(graph, u as NodeId, sample, values) {
-                        Some(mean) => mean,
-                        // Zero sampled weight: the value stays put and the
-                        // tracker has nothing to record.
-                        None => continue,
-                    }
-                } else {
-                    sample.iter().map(|&v| values[v as usize]).sum::<f64>() / sample.len() as f64
-                };
-                let old = values[u];
-                let new = alpha * old + (1.0 - alpha) * mean;
-                values[u] = new;
-                tracker.record(pi[u], old, new);
-                tracker.maybe_refresh(pi, values);
-            }
-        }
-        KernelSpec::Edge(params) => {
-            let two_m = graph.directed_edge_count();
-            let (tails, heads) = (graph.tails(), graph.heads());
-            let alpha = params.alpha();
-            let lazy = params.laziness() == Laziness::Lazy;
-            let weights = graph.weight_slice();
-            loop {
-                if tracker.potential_pi() <= epsilon {
-                    return (taken, true);
-                }
-                if taken == max_steps {
-                    return (taken, false);
-                }
-                taken += 1;
-                if lazy && rng.gen_bool(0.5) {
-                    continue;
-                }
-                let slot = rng.gen_range(0..two_m);
-                let (tail, head) = (tails[slot], heads[slot]);
-                let old = values[tail as usize];
-                let target = match weights {
-                    Some(weights) => {
-                        match weighted_pull_target(graph, weights, slot, tail, head, values) {
-                            Some(target) => target,
-                            // Zero-weight slot: no pull, nothing to record.
-                            None => continue,
-                        }
-                    }
-                    None => values[head as usize],
-                };
-                let new = alpha * old + (1.0 - alpha) * target;
-                values[tail as usize] = new;
-                tracker.record(pi[tail as usize], old, new);
-                tracker.maybe_refresh(pi, values);
-            }
-        }
-    }
-}
-
 /// [`run_voter_steps_tracked`] with the consensus stopping rule folded in:
 /// advances up to `max_steps` voter steps, stopping at the first step with
 /// `discord == 0` (checked *before* each step, mirroring
@@ -778,11 +795,29 @@ impl BlockRows for AveragingRows<'_> {
             let mut rng = rngs[slot].clone();
             *outcome = match check {
                 BlockCheck::None => {
-                    run_steps(graph, spec, values, sample, perm, block, &mut rng);
+                    run_steps(
+                        graph,
+                        spec,
+                        values,
+                        sample,
+                        perm,
+                        block,
+                        &mut rng,
+                        &mut Unchecked,
+                    );
                     BlockOutcome::unchecked(block, false)
                 }
                 BlockCheck::Boundary { epsilon, kind } => {
-                    run_steps(graph, spec, values, sample, perm, block, &mut rng);
+                    run_steps(
+                        graph,
+                        spec,
+                        values,
+                        sample,
+                        perm,
+                        block,
+                        &mut rng,
+                        &mut Unchecked,
+                    );
                     let (potential, weighted_average) = match kind {
                         PotentialKind::Pi => slice_potential_and_mean(graph, values),
                         PotentialKind::Uniform => slice_potential_uniform_and_mean(values),
@@ -795,24 +830,19 @@ impl BlockRows for AveragingRows<'_> {
                     }
                 }
                 BlockCheck::Tracked { epsilon, pi } => {
-                    let mut tracker = trackers[slot];
-                    let (steps, converged) = run_steps_tracked_until(
-                        graph,
-                        spec,
+                    let mut check = Tracked {
+                        tracker: trackers[slot],
                         pi,
-                        values,
-                        &mut tracker,
-                        sample,
-                        perm,
-                        block,
-                        *epsilon,
-                        &mut rng,
+                        epsilon: *epsilon,
+                    };
+                    let (steps, converged) = run_steps(
+                        graph, spec, values, sample, perm, block, &mut rng, &mut check,
                     );
-                    trackers[slot] = tracker;
+                    trackers[slot] = check.tracker;
                     BlockOutcome {
                         steps,
-                        potential: tracker.potential_pi(),
-                        weighted_average: tracker.weighted_average(),
+                        potential: check.tracker.potential_pi(),
+                        weighted_average: check.tracker.weighted_average(),
                         converged,
                     }
                 }
@@ -1292,6 +1322,7 @@ impl<'g> StepKernel<'g> {
             &mut self.perm,
             steps,
             rng,
+            &mut Unchecked,
         );
         self.time += steps;
     }

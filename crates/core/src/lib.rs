@@ -68,7 +68,7 @@ pub use dynamic::Topology;
 pub use edge_model::EdgeModel;
 pub use engine::{
     estimate_convergence_value, resolve_threads, run_kernel_until_converged, run_until_converged,
-    trace_potential, ConvergeConfig, ConvergenceReport, PotentialKind, StopRule,
+    ConvergeConfig, ConvergenceReport, PotentialKind, StopRule,
 };
 pub use error::CoreError;
 #[doc(hidden)]
@@ -80,4 +80,4 @@ pub use process::{OpinionProcess, StepRecord};
 pub use state::OpinionState;
 pub use sync::{SyncKernel, SyncModel};
 pub use voter::{VoterModel, VoterReport};
-pub use window::{run_converge_streaming, ConvergeWindow, WindowCheckpoint};
+pub use window::{ConvergeWindow, WindowCheckpoint};

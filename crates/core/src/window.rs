@@ -1,29 +1,28 @@
 //! The resumable streaming convergence window.
 //!
-//! [`ConvergeWindow`] is the stateful form of the retirement-aware
-//! streaming runner: the same fixed-capacity structure-of-arrays window
-//! that [`run_converge_streaming`] drives to completion, but advanced one
-//! block round at a time under caller control, with the complete loop
-//! state — value rows, per-replica RNG states, exact-mode potential
-//! trackers, per-trial budgets and the admission cursor — capturable as a
-//! [`WindowCheckpoint`] between rounds and restorable later (in another
-//! process) without perturbing a single bit of the results.
+//! [`ConvergeWindow`] is the retirement-aware streaming runner: a
+//! fixed-capacity structure-of-arrays window, advanced one block round at
+//! a time under caller control, with the complete loop state — value
+//! rows, per-replica RNG states, exact-mode potential trackers, per-trial
+//! budgets and the admission cursor — capturable as a [`WindowCheckpoint`]
+//! between rounds and restorable later (in another process) without
+//! perturbing a single bit of the results.
 //!
 //! The window is a [`crate::ReplicaBatch`] used as slot storage plus an
 //! admission cursor: each round it refills free slots from the pending
 //! seeds, then runs one round of the retirement routine the batch drivers
 //! share (`kernel::Retirement`), on the same block runner.
 //!
-//! The bit-identity argument is the streaming runner's, plus one
-//! observation: everything a round reads is either immutable context
-//! (graph, spec, `ξ(0)`, seeds, config) or the captured loop state. The
-//! RNGs expose their raw xoshiro words (`StdRng::state`), and the exact
-//! stopping rule's [`PotentialTracker`] is serialised field-for-field —
-//! crucially *not* rebuilt from the current values, which would pick a
-//! fresh gauge and drop the accumulated incremental drift, changing
-//! stopping decisions. Checkpoint → restore → finish therefore equals the
-//! uninterrupted run bit for bit (gated below and in
-//! `tests/batch_equivalence.rs` via the wrapper).
+//! The bit-identity argument (see [`ConvergeWindow`]) extends to
+//! checkpoints through one observation: everything a round reads is
+//! either immutable context (graph, spec, `ξ(0)`, seeds, config) or the
+//! captured loop state. The RNGs expose their raw xoshiro words
+//! (`StdRng::state`), and the exact stopping rule's [`PotentialTracker`]
+//! is serialised field-for-field — crucially *not* rebuilt from the
+//! current values, which would pick a fresh gauge and drop the
+//! accumulated incremental drift, changing stopping decisions. Checkpoint
+//! → restore → finish therefore equals the uninterrupted run bit for bit
+//! (gated below and by `crates/serve/tests/serve_roundtrip.rs`).
 //!
 //! Floats travel through the text form as `f64::to_bits` hex words, so a
 //! checkpoint file round-trips exactly (no decimal re-parsing).
@@ -37,9 +36,34 @@ use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
 use crate::kernel::{BlockCheck, KernelSpec, PotentialTracker, Retirement, TrackerState};
 
-/// A fixed-capacity streaming convergence window, advanced block round by
-/// block round. See the module docs; [`run_converge_streaming`] is the
-/// run-to-completion wrapper.
+/// Retirement-aware Monte-Carlo convergence sweep, advanced block round
+/// by block round: drives one trial per seed to ε-convergence (or through
+/// its whole budget) through a **fixed-capacity** structure-of-arrays
+/// window, re-filling retired slots with fresh seeds so the buffer stays
+/// full for the whole sweep. [`ConvergeWindow::run_to_completion`] runs
+/// it to the end; [`ConvergeWindow::reports`] holds one
+/// [`ConvergenceReport`] per seed, in seed order.
+///
+/// [`crate::ReplicaBatch::run_until_converged`] sizes its SoA buffer at
+/// the full replica count; on long sweeps with heavy-tailed `T(ε)` the
+/// buffer drains as fast replicas retire, leaving a tail where a few
+/// stragglers keep the whole window alive. This runner instead admits
+/// trials into a window of `capacity` rows: whenever a slot retires
+/// (convergence *or* per-trial budget exhaustion), the next pending seed
+/// is copied in — `ξ(0)`, a fresh `StdRng`, a fresh tracker — and
+/// stepping continues with a dense buffer.
+///
+/// Every trial draws only from its own seed-derived RNG and owns its own
+/// row, and each trial's personal block schedule (a zero-step entry
+/// check, then `check_every`-sized blocks capped by its remaining budget)
+/// is independent of when it was admitted. Its report is therefore
+/// **bit-identical** to the same seed run through
+/// [`crate::ReplicaBatch::run_until_converged`] or solo — independent of
+/// `capacity`, thread count, admission order and how the rounds are
+/// grouped into calls (gated across capacities in
+/// `tests/batch_equivalence.rs`). `config` has the same semantics as in
+/// [`crate::ReplicaBatch::run_until_converged`] (`max_steps` is a
+/// per-trial budget). See the module docs for checkpoint/resume.
 #[derive(Debug, Clone)]
 pub struct ConvergeWindow<'g> {
     /// The slot storage: `capacity × n` value rows (live prefix in use)
@@ -61,9 +85,8 @@ pub struct ConvergeWindow<'g> {
 }
 
 impl<'g> ConvergeWindow<'g> {
-    /// Creates a window over `seeds.len()` pending trials, validating
-    /// exactly like [`run_converge_streaming`]. `capacity` is clamped to
-    /// `[1, seeds.len()]`.
+    /// Creates a window over `seeds.len()` pending trials. `capacity` is
+    /// clamped to `[1, seeds.len()]`.
     ///
     /// # Errors
     ///
@@ -191,11 +214,6 @@ impl<'g> ConvergeWindow<'g> {
     /// yet retired are provisional (or default, if never admitted).
     pub fn reports(&self) -> &[ConvergenceReport] {
         &self.reports
-    }
-
-    /// Consumes the window, returning the per-trial reports (seed order).
-    pub fn into_reports(self) -> Vec<ConvergenceReport> {
-        self.reports
     }
 
     /// Captures the complete loop state between rounds. Restoring the
@@ -568,53 +586,6 @@ impl WindowCheckpoint {
     }
 }
 
-/// Retirement-aware Monte-Carlo convergence sweep: drives one trial per
-/// seed to ε-convergence through a **fixed-capacity** structure-of-arrays
-/// window, re-filling retired slots with fresh seeds so the buffer stays
-/// full for the whole sweep. Returns one [`ConvergenceReport`] per seed,
-/// in seed order.
-///
-/// [`crate::ReplicaBatch::run_until_converged`] sizes its SoA buffer at
-/// the full replica count; on long sweeps with heavy-tailed `T(ε)` the
-/// buffer drains as fast replicas retire, leaving a tail where a few
-/// stragglers keep the whole window alive. This runner instead admits
-/// trials into a window of `capacity` rows: whenever a slot retires
-/// (convergence *or* per-trial budget exhaustion), the next pending seed
-/// is copied in — `ξ(0)`, a fresh `StdRng`, a fresh tracker — and
-/// stepping continues with a dense buffer.
-///
-/// Every trial draws only from its own seed-derived RNG and owns its own
-/// row, and each trial's personal block schedule (a zero-step entry
-/// check, then `check_every`-sized blocks capped by its remaining budget)
-/// is independent of when it was admitted. Its report is therefore
-/// **bit-identical** to the same seed run through
-/// [`crate::ReplicaBatch::run_until_converged`] or solo — independent of
-/// `capacity`, thread count and admission order (gated across capacities
-/// in `tests/batch_equivalence.rs`).
-///
-/// `capacity` is clamped to `[1, seeds.len()]`; `config` has the same
-/// semantics as in [`crate::ReplicaBatch::run_until_converged`]
-/// (`max_steps` is a per-trial budget). This is the run-to-completion
-/// wrapper over [`ConvergeWindow`], which additionally supports
-/// checkpoint/resume.
-///
-/// # Errors
-///
-/// The same as [`crate::StepKernel::new`] for the scenario, plus
-/// [`CoreError::InvalidEpsilon`] from the config.
-pub fn run_converge_streaming(
-    graph: &Graph,
-    spec: KernelSpec,
-    xi0: &[f64],
-    seeds: &[u64],
-    capacity: usize,
-    config: ConvergeConfig,
-) -> Result<Vec<ConvergenceReport>, CoreError> {
-    let mut window = ConvergeWindow::new(graph, spec, xi0, seeds, capacity, config)?;
-    window.run_to_completion();
-    Ok(window.into_reports())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -669,25 +640,14 @@ mod tests {
     }
 
     #[test]
-    fn window_equals_streaming_wrapper() {
-        crate::split_every_round();
-        let (g, spec, xi0, seeds) = scenario();
-        for config in configs() {
-            let direct = run_converge_streaming(&g, spec, &xi0, &seeds, 3, config).unwrap();
-            let mut window = ConvergeWindow::new(&g, spec, &xi0, &seeds, 3, config).unwrap();
-            while window.run_blocks(2) {}
-            assert!(window.is_done());
-            assert_eq!(window.completed(), window.total());
-            assert_reports_bit_identical(&direct, window.reports());
-        }
-    }
-
-    #[test]
     fn checkpoint_resume_is_bit_identical_at_every_boundary() {
         crate::split_every_round();
         let (g, spec, xi0, seeds) = scenario();
         for config in configs() {
-            let uninterrupted = run_converge_streaming(&g, spec, &xi0, &seeds, 3, config).unwrap();
+            let mut uninterrupted = ConvergeWindow::new(&g, spec, &xi0, &seeds, 3, config).unwrap();
+            uninterrupted.run_to_completion();
+            assert!(uninterrupted.is_done());
+            assert_eq!(uninterrupted.completed(), uninterrupted.total());
             for interrupt_after in [1u64, 2, 3, 5, 8] {
                 let mut first = ConvergeWindow::new(&g, spec, &xi0, &seeds, 3, config).unwrap();
                 first.run_blocks(interrupt_after);
@@ -700,7 +660,7 @@ mod tests {
                     ConvergeWindow::restore(&g, spec, &xi0, &seeds, 3, config, &checkpoint)
                         .unwrap();
                 resumed.run_to_completion();
-                assert_reports_bit_identical(&uninterrupted, resumed.reports());
+                assert_reports_bit_identical(uninterrupted.reports(), resumed.reports());
             }
         }
     }

@@ -12,9 +12,9 @@
 //!   `examples/scenarios/*.scn` and the `run_experiments scenario`
 //!   subcommand);
 //! * [`Simulation`] — validates the spec and **dispatches to the optimal
-//!   engine automatically**: the scalar recorded path for single-replica
-//!   traces, the retirement-aware streaming convergence runner for static
-//!   sweeps, the `Dynamic*` kernels under churn, the voter batches for
+//!   engine automatically**: the retirement-aware streaming convergence
+//!   window for static converge sweeps and single-replica traces, the
+//!   replica batches for fixed horizons and churn, the voter batches for
 //!   voter specs (dispatch table in [`sim`]);
 //! * [`SimulationReport`] — per-trial stopping times, `F` estimates and
 //!   summary statistics (via `od-stats`), engine-independent;

@@ -5,8 +5,8 @@
 //!
 //! | scenario shape | engine |
 //! |---|---|
-//! | averaging, R = 1, `output trace` | scalar process + `trace_potential` (recorded run) |
-//! | averaging, static, `stop converge` | `run_converge_streaming` (retirement-aware SoA window) |
+//! | averaging, static, `stop converge` | `ConvergeWindow` run to completion (retirement-aware SoA window) |
+//! | averaging, R = 1, static, `output trace` | one-slot `ConvergeWindow`, exact rule, ε = −∞, one round per sample (reported as `StaticSteps`) |
 //! | averaging, `stop steps` / churn + `stop converge` | `ReplicaBatch::run_epochs` / `run_until_converged` over seed chunks |
 //! | voter | `VoterBatch::run_epochs` / `run_to_consensus` over seed chunks |
 //! | `degroot` / `fj` / `weighted_median` | `SyncKernel` deterministic synchronous rounds (the only engine for weighted *directed* graphs) |
@@ -41,28 +41,25 @@
 use crate::runner::monte_carlo_batched_threads;
 use crate::spec::{ModelSpec, OutputSpec, ScenarioSpec, SimError, StopRuleSpec, StopSpec};
 use od_core::{
-    run_converge_streaming, trace_potential, ConvergeConfig, ConvergeWindow, ConvergenceReport,
-    CoreError, EdgeModel, KernelSpec, NodeModel, OpinionProcess, ReplicaBatch, StopRule, Topology,
-    VoterBatch, WindowCheckpoint,
+    ConvergeConfig, ConvergeWindow, ConvergenceReport, CoreError, KernelSpec, ReplicaBatch,
+    StopRule, Topology, VoterBatch, WindowCheckpoint,
 };
 use od_graph::{ChurnModel, DynamicGraph, Graph};
 use od_stats::{SeedSequence, Summary};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
 /// The engine a scenario dispatches to (see the module-level table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Engine {
-    /// Scalar recorded run: one replica, incremental aggregates, a
-    /// potential trace.
-    ScalarRecorded,
     /// `ReplicaBatch::run_epochs` over seed chunks: one epoch of the
-    /// whole horizon.
+    /// whole horizon. An `output trace` cell instead runs its one trial
+    /// on a one-slot `od_core::ConvergeWindow` under the exact rule with
+    /// ε = −∞ (it never stops), one block round per sampling interval,
+    /// reading `(t, φ)` off the tracked potential after each round.
     StaticSteps,
-    /// The retirement-aware streaming convergence runner
-    /// (`od_core::run_converge_streaming`).
+    /// The retirement-aware streaming convergence window
+    /// (`od_core::ConvergeWindow`), run to completion.
     StaticConverge,
     /// `ReplicaBatch::run_epochs` over seed chunks on a churned
     /// `Topology`, in epochs of the churn cadence.
@@ -90,7 +87,6 @@ pub enum Engine {
 impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let name = match self {
-            Engine::ScalarRecorded => "scalar-recorded",
             Engine::StaticSteps => "replica-batch",
             Engine::StaticConverge => "streaming-converge",
             Engine::DynamicSteps => "dynamic-replica-batch",
@@ -193,10 +189,11 @@ impl SimulationReport {
 }
 
 /// A validated, runnable scenario: the spec plus its resolved graph and
-/// initial state. Build one with [`Simulation::from_spec`], optionally
-/// override the graph or initial state (for programmatic inputs the text
-/// format cannot express, e.g. an eigenvector initial condition), then
-/// [`Simulation::run`].
+/// initial state. Build one with [`Simulation::from_spec`] (or
+/// [`Simulation::from_spec_with_graph`] on a given graph instance),
+/// optionally override the initial values (for programmatic inputs the
+/// text format cannot express, e.g. an eigenvector initial condition),
+/// then [`Simulation::run`].
 ///
 /// The graph is held by `Arc`, so the cells of a sweep (and the od-serve
 /// workers) share one CSR instead of copying it per cell; a `weights
@@ -251,16 +248,6 @@ impl Simulation {
         Simulation::assemble(spec.clone(), graph.into())
     }
 
-    /// Replaces the graph (e.g. an instance shared with a direct-engine
-    /// comparison), re-resolving the initial state for the new size.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Core`] if the model rejects the new graph.
-    pub fn with_graph(self, graph: impl Into<Arc<Graph>>) -> Result<Simulation, SimError> {
-        Simulation::assemble(self.spec, graph.into())
-    }
-
     /// Overrides the averaging initial values (inputs the declarative
     /// init distributions cannot express, e.g. a worst-case eigenvector).
     ///
@@ -281,28 +268,6 @@ impl Simulation {
             )));
         }
         self.xi0 = xi0;
-        Ok(self)
-    }
-
-    /// Overrides the voter initial opinions.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::Invalid`] on an averaging scenario or length mismatch.
-    pub fn with_opinions(mut self, opinions0: Vec<u32>) -> Result<Simulation, SimError> {
-        if self.spec.model.is_averaging() {
-            return Err(SimError::Invalid(
-                "averaging scenarios take values, not opinions".into(),
-            ));
-        }
-        if opinions0.len() != self.graph.n() {
-            return Err(SimError::Invalid(format!(
-                "{} initial opinions for {} nodes",
-                opinions0.len(),
-                self.graph.n()
-            )));
-        }
-        self.opinions0 = opinions0;
         Ok(self)
     }
 
@@ -332,7 +297,7 @@ impl Simulation {
             }
             if matches!(spec.output, OutputSpec::Trace { .. }) {
                 return Err(SimError::Invalid(
-                    "trace output records the scalar path, which is unweighted".into(),
+                    "trace output runs on unweighted graphs only".into(),
                 ));
             }
         }
@@ -421,7 +386,6 @@ impl Simulation {
             (ModelSpec::Voter, None, StopSpec::Consensus { .. }) => Engine::VoterConsensus,
             (ModelSpec::Voter, None, _) => Engine::VoterSteps,
             (ModelSpec::Voter, Some(_), _) => Engine::DynamicVoter,
-            _ if matches!(self.spec.output, OutputSpec::Trace { .. }) => Engine::ScalarRecorded,
             (_, None, StopSpec::Converge { .. }) => Engine::StaticConverge,
             (_, None, _) => Engine::StaticSteps,
             (_, Some(_), StopSpec::Converge { .. }) => Engine::DynamicConverge,
@@ -438,8 +402,16 @@ impl Simulation {
     pub fn run(&self) -> Result<SimulationReport, SimError> {
         let engine = self.engine();
         let trials = match engine {
-            Engine::ScalarRecorded => return self.run_scalar_recorded(),
-            Engine::StaticConverge => self.run_static_converge()?,
+            Engine::StaticConverge => {
+                let Some(mut window) = self.converge_window()? else {
+                    unreachable!("static converge cells run on a window");
+                };
+                window.run_to_completion();
+                return Ok(self.report_from_window(window.reports()));
+            }
+            Engine::StaticSteps if matches!(self.spec.output, OutputSpec::Trace { .. }) => {
+                return self.run_trace();
+            }
             Engine::StaticSteps | Engine::DynamicSteps | Engine::DynamicConverge => {
                 self.run_replica_batch()?
             }
@@ -531,38 +503,39 @@ impl Simulation {
             .map_err(SimError::Core)
     }
 
-    fn run_scalar_recorded(&self) -> Result<SimulationReport, SimError> {
-        let StopSpec::Steps { steps } = self.spec.stop else {
+    /// `output trace`: the one trial runs on a one-slot window under the
+    /// exact rule with ε = −∞, so it never stops before its horizon and
+    /// each block round ends `every` steps on (the last one possibly
+    /// short). The entry round and every round ending on a multiple of
+    /// `every` contribute their `(t, φ(ξ(t)))`, read off the tracked
+    /// potential; the final report is the trial.
+    fn run_trace(&self) -> Result<SimulationReport, SimError> {
+        let (StopSpec::Steps { steps }, OutputSpec::Trace { every }) =
+            (self.spec.stop, self.spec.output)
+        else {
             unreachable!("validate pins trace output to a fixed horizon");
         };
-        let OutputSpec::Trace { every } = self.spec.output else {
-            unreachable!("scalar-recorded dispatch requires trace output");
-        };
-        let mut rng = StdRng::seed_from_u64(self.seeds().seed(0));
-        let (trace, potential, estimate) = match self.kernel_spec() {
-            KernelSpec::Node(params) => {
-                let mut process = NodeModel::new(&self.graph, self.xi0.clone(), params)?;
-                let trace = trace_potential(&mut process, &mut rng, steps, every);
-                let state = process.state();
-                (trace, state.potential_pi(), state.weighted_average())
+        let config = ConvergeConfig::new(f64::NEG_INFINITY, steps)
+            .with_stop(StopRule::Exact)
+            .with_check_every(every)
+            .with_threads(self.threads);
+        let mut window = self.window(config)?;
+        let mut trace = Vec::new();
+        let mut running = true;
+        while running {
+            running = window.run_block();
+            let report = window.reports()[0];
+            if report.steps.is_multiple_of(every) {
+                trace.push((report.steps, report.potential));
             }
-            KernelSpec::Edge(params) => {
-                let mut process = EdgeModel::new(&self.graph, self.xi0.clone(), params)?;
-                let trace = trace_potential(&mut process, &mut rng, steps, every);
-                let state = process.state();
-                (trace, state.potential_pi(), state.weighted_average())
-            }
-        };
+        }
         Ok(SimulationReport {
-            engine: Engine::ScalarRecorded,
-            trials: vec![TrialResult {
-                steps,
-                converged: false,
-                potential,
-                estimate,
-                winner: None,
-                mutations: 0,
-            }],
+            engine: Engine::StaticSteps,
+            trials: window
+                .reports()
+                .iter()
+                .map(TrialResult::from_convergence)
+                .collect(),
             trace: Some(trace),
         })
     }
@@ -604,14 +577,19 @@ impl Simulation {
         if self.engine() != Engine::StaticConverge {
             return Ok(None);
         }
-        Ok(Some(ConvergeWindow::new(
+        Ok(Some(self.window(self.converge_config())?))
+    }
+
+    /// A window over every trial of this scenario under `config`.
+    fn window(&self, config: ConvergeConfig) -> Result<ConvergeWindow<'_>, SimError> {
+        Ok(ConvergeWindow::new(
             &self.graph,
             self.kernel_spec(),
             &self.xi0,
             &self.trial_seeds(),
             self.spec.resolved_batch(),
-            self.converge_config(),
-        )?))
+            config,
+        )?)
     }
 
     /// Like [`Simulation::converge_window`], but resumed from a
@@ -648,18 +626,6 @@ impl Simulation {
             trials: reports.iter().map(TrialResult::from_convergence).collect(),
             trace: None,
         }
-    }
-
-    fn run_static_converge(&self) -> Result<Vec<TrialResult>, SimError> {
-        let reports = run_converge_streaming(
-            &self.graph,
-            self.kernel_spec(),
-            &self.xi0,
-            &self.trial_seeds(),
-            self.spec.resolved_batch(),
-            self.converge_config(),
-        )?;
-        Ok(reports.iter().map(TrialResult::from_convergence).collect())
     }
 
     /// Averaging `stop steps` (static or churned) and churned `stop
@@ -776,7 +742,8 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::spec::{ChurnModelSpec, ChurnSpec, GraphSpec, InitSpec, PotentialSpec};
-    use rand::Rng;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn converge_spec() -> ScenarioSpec {
         let mut spec = ScenarioSpec::new(
@@ -815,7 +782,7 @@ mod tests {
         spec.output = OutputSpec::Trace { every: 10 };
         assert_eq!(
             Simulation::from_spec(&spec).unwrap().engine(),
-            Engine::ScalarRecorded
+            Engine::StaticSteps
         );
         spec.output = OutputSpec::Reports;
         spec.replicas = 5;
@@ -972,7 +939,7 @@ mod tests {
         spec.output = OutputSpec::Trace { every: 500 };
         spec.seed = 11;
         let report = Simulation::from_spec(&spec).unwrap().run().unwrap();
-        assert_eq!(report.engine, Engine::ScalarRecorded);
+        assert_eq!(report.engine, Engine::StaticSteps);
         let trace = report.trace.as_ref().unwrap();
         assert_eq!(trace.len(), 1 + 4);
         assert_eq!(trace[0].0, 0);
@@ -980,21 +947,137 @@ mod tests {
         assert_eq!(report.trials.len(), 1);
     }
 
+    /// The `(t, φ)` samples, final `φ` and final `M` of a test-local
+    /// scalar loop: `steps` steps of `process`, sampling
+    /// `state().potential_pi()` at `t = 0` and at every multiple of
+    /// `every`.
+    fn scalar_trace(
+        mut process: impl od_core::OpinionProcess,
+        seed: u64,
+        steps: u64,
+        every: u64,
+    ) -> (Vec<(u64, f64)>, f64, f64) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut trace = vec![(0, process.state().potential_pi())];
+        for t in 1..=steps {
+            process.step(&mut rng);
+            if t % every == 0 {
+                trace.push((t, process.state().potential_pi()));
+            }
+        }
+        let state = process.state();
+        (trace, state.potential_pi(), state.weighted_average())
+    }
+
+    #[test]
+    fn trace_matches_scalar_process() {
+        use od_core::{EdgeModel, NodeModel};
+        let models = [
+            ModelSpec::Node {
+                alpha: 0.5,
+                k: 1,
+                lazy: false,
+            },
+            ModelSpec::Node {
+                alpha: 0.3,
+                k: 2,
+                lazy: true,
+            },
+            ModelSpec::Edge {
+                alpha: 0.5,
+                lazy: false,
+            },
+            ModelSpec::Edge {
+                alpha: 0.7,
+                lazy: true,
+            },
+        ];
+        let inits = [
+            InitSpec::Linear { lo: -1.0, hi: 2.0 },
+            // φ = 0 throughout: any finite ε would retire the slot at t = 0.
+            InitSpec::Constant { value: 0.25 },
+        ];
+        // Multiple of `every`, not a multiple, shorter than `every`, zero.
+        let horizons = [(1_000, 100), (1_037, 100), (60, 100), (0, 7)];
+        let mut cases = 0;
+        for model in models {
+            for init in &inits {
+                for (steps, every) in horizons {
+                    let mut spec =
+                        ScenarioSpec::new(model, GraphSpec::Torus { rows: 4, cols: 5 }, steps);
+                    spec.init = init.clone();
+                    spec.seed = 23;
+                    spec.output = OutputSpec::Trace { every };
+                    let sim = Simulation::from_spec(&spec).unwrap();
+                    let report = sim.run().unwrap();
+                    assert_eq!(report.engine, Engine::StaticSteps);
+                    let (seed, xi0) = (sim.seeds().seed(0), sim.xi0.clone());
+                    let (trace, potential, estimate) = match sim.kernel_spec() {
+                        KernelSpec::Node(params) => scalar_trace(
+                            NodeModel::new(sim.graph(), xi0, params).unwrap(),
+                            seed,
+                            steps,
+                            every,
+                        ),
+                        KernelSpec::Edge(params) => scalar_trace(
+                            EdgeModel::new(sim.graph(), xi0, params).unwrap(),
+                            seed,
+                            steps,
+                            every,
+                        ),
+                    };
+                    let case = format!("{model:?} {init:?} steps {steps} every {every}");
+                    let bits = |points: &[(u64, f64)]| {
+                        points
+                            .iter()
+                            .map(|&(t, phi)| (t, phi.to_bits()))
+                            .collect::<Vec<_>>()
+                    };
+                    let got = report.trace.as_deref().unwrap();
+                    assert_eq!(bits(got), bits(&trace), "{case}");
+                    assert_eq!(got.len() as u64, 1 + steps / every, "{case}");
+                    let [trial] = report.trials.as_slice() else {
+                        panic!("a trace cell runs one trial: {case}");
+                    };
+                    assert_eq!(trial.steps, steps, "{case}");
+                    assert!(!trial.converged, "{case}");
+                    assert_eq!(trial.potential.to_bits(), potential.to_bits(), "{case}");
+                    assert_eq!(trial.estimate.to_bits(), estimate.to_bits(), "{case}");
+                    if matches!(init, InitSpec::Constant { .. }) {
+                        assert!(got.iter().all(|&(_, phi)| phi == 0.0), "{case}");
+                    }
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 32);
+
+        // The potential decays substantially over 4000 steps on K_8.
+        let mut spec = ScenarioSpec::new(
+            ModelSpec::Node {
+                alpha: 0.5,
+                k: 1,
+                lazy: false,
+            },
+            GraphSpec::Complete { n: 8 },
+            4_000,
+        );
+        spec.init = InitSpec::Linear { lo: 0.0, hi: 7.0 };
+        spec.seed = 5;
+        spec.output = OutputSpec::Trace { every: 500 };
+        let report = Simulation::from_spec(&spec).unwrap().run().unwrap();
+        let trace = report.trace.unwrap();
+        assert_eq!(trace.len(), 1 + 8);
+        assert_eq!(trace[0].0, 0);
+        assert!(trace.last().unwrap().1 < trace[0].1 * 0.5);
+    }
+
     #[test]
     fn overrides_validate() {
         let spec = converge_spec();
         let sim = Simulation::from_spec(&spec).unwrap();
         assert!(sim.clone().with_initial_values(vec![1.0; 3]).is_err());
-        assert!(sim.clone().with_opinions(vec![0; 12]).is_err());
-        let replaced = sim
-            .clone()
-            .with_graph(od_graph::generators::complete(6).unwrap())
-            .unwrap();
-        assert_eq!(replaced.graph().n(), 6);
-        // k > d_min is rejected at graph replacement, like the engines.
-        assert!(sim
-            .with_graph(od_graph::generators::path(6).unwrap())
-            .is_err());
+        assert!(sim.with_initial_values(vec![1.0; 12]).is_ok());
         // Zero replicas rejected before any engine runs.
         let mut bad = converge_spec();
         bad.replicas = 0;

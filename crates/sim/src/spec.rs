@@ -859,8 +859,7 @@ pub enum OutputSpec {
     /// Per-trial reports plus summary statistics (the default).
     Reports,
     /// Additionally record a `(t, φ(ξ(t)))` potential trace — single
-    /// replica, static graph, fixed step horizon (the scalar recorded
-    /// path).
+    /// replica, static unweighted graph, fixed step horizon.
     Trace {
         /// Sampling interval in steps.
         every: u64,
@@ -1066,7 +1065,7 @@ impl ScenarioSpec {
                 );
             }
             if matches!(self.output, OutputSpec::Trace { .. }) {
-                return invalid("trace output records the scalar path, which is unweighted");
+                return invalid("trace output runs on unweighted graphs only");
             }
         }
         if self.model.is_sync() {
@@ -1080,11 +1079,11 @@ impl ScenarioSpec {
             }
             if self.tier == TierSpec::Lane {
                 return invalid(
-                    "the lane tier accelerates the asynchronous kernels; use tier exact",
+                    "tier lane (retired) never applied to the synchronous models; use tier exact",
                 );
             }
             if matches!(self.output, OutputSpec::Trace { .. }) {
-                return invalid("trace output records the asynchronous scalar path");
+                return invalid("trace output samples the node and edge models' potential");
             }
             if !matches!(
                 self.stop,
@@ -1166,11 +1165,11 @@ impl ScenarioSpec {
         if self.tier == TierSpec::Lane {
             if !self.model.is_averaging() {
                 return invalid(
-                    "the lane tier accelerates the averaging kernels only (not the voter)",
+                    "tier lane (retired) applies to the averaging models only; use tier exact",
                 );
             }
             if matches!(self.output, OutputSpec::Trace { .. }) {
-                return invalid("trace output records the exact scalar path; use tier exact");
+                return invalid("trace output never ran under tier lane (retired); use tier exact");
             }
             if let StopSpec::Converge {
                 rule, potential, ..
@@ -1178,11 +1177,11 @@ impl ScenarioSpec {
             {
                 if rule != StopRuleSpec::Block {
                     return invalid(
-                        "the lane tier checks convergence at block boundaries (rule=block)",
+                        "tier lane (retired) applies with rule=block only; use tier exact",
                     );
                 }
                 if potential != PotentialSpec::Pi {
-                    return invalid("the lane tier supports the pi potential only");
+                    return invalid("tier lane (retired) applies to the pi potential only");
                 }
             }
         }
@@ -1191,7 +1190,7 @@ impl ScenarioSpec {
                 return invalid("trace sampling interval must be at least 1");
             }
             if self.replicas != 1 {
-                return invalid("trace output needs exactly 1 replica (the scalar recorded path)");
+                return invalid("trace output records one run; use replicas 1");
             }
             if self.churn.is_some() {
                 return invalid("trace output needs a static graph");

@@ -20,10 +20,9 @@
 //! rate-0 spellings (`ChurnModel::Static` and `edge_swap(0)`).
 
 use opinion_dynamics::core::{
-    run_converge_streaming, run_kernel_until_converged, run_until_converged, ConvergeConfig,
-    EdgeModel, EdgeModelParams, KernelSpec, NodeModel, NodeModelParams, OpinionProcess,
-    PotentialKind, ReplicaBatch, StepKernel, StopRule, Topology, VoterBatch, VoterKernel,
-    VoterModel,
+    run_kernel_until_converged, run_until_converged, ConvergeConfig, ConvergeWindow, EdgeModel,
+    EdgeModelParams, KernelSpec, NodeModel, NodeModelParams, OpinionProcess, PotentialKind,
+    ReplicaBatch, StepKernel, StopRule, Topology, VoterBatch, VoterKernel, VoterModel,
 };
 use opinion_dynamics::graph::{generators, ChurnModel, DynamicGraph, Graph};
 use opinion_dynamics::sim::{
@@ -857,8 +856,9 @@ fn streaming_window_capacities_match_batched_engine() {
         let mut batch = ReplicaBatch::new(&g, spec, &xi0, &seeds).unwrap();
         let reference = batch.run_until_converged(config).unwrap();
         for capacity in [1usize, 4, 12] {
-            let got = run_converge_streaming(&g, spec, &xi0, &seeds, capacity, config).unwrap();
-            assert_eq!(got, reference, "capacity={capacity}, {stop:?}");
+            let mut window = ConvergeWindow::new(&g, spec, &xi0, &seeds, capacity, config).unwrap();
+            window.run_to_completion();
+            assert_eq!(window.reports(), reference, "capacity={capacity}, {stop:?}");
         }
     }
 }
