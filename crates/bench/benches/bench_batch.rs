@@ -126,16 +126,25 @@ fn replica_batch_fixed_horizon(c: &mut Criterion) {
 /// Building the two million-node CSRs of the end-to-end `big_graph`
 /// sweeps from their generators: rows written directly, no edge list.
 /// Nothing is read afterwards, so the rows time what every cell's graph
-/// costs before its first step (memoised tails are not built).
+/// costs before its first step (memoised tails are not built). The
+/// `threads2` rows fill and check the rows on two workers, as a
+/// `threads 0` sweep on a 2-vCPU box does.
 fn graph_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("batch/graph_build");
     group.sample_size(10);
-    group.bench_function("hypercube20/n1048576", |b| {
-        b.iter(|| generators::hypercube(20).unwrap())
-    });
-    group.bench_function("torus1024x1024/n1048576", |b| {
-        b.iter(|| generators::torus(1024, 1024).unwrap())
-    });
+    for threads in [1, 2] {
+        let suffix = if threads == 1 {
+            String::new()
+        } else {
+            format!("/threads{threads}")
+        };
+        group.bench_function(format!("hypercube20/n1048576{suffix}"), |b| {
+            b.iter(|| generators::hypercube_threads(20, threads).unwrap())
+        });
+        group.bench_function(format!("torus1024x1024/n1048576{suffix}"), |b| {
+            b.iter(|| generators::grid2d_threads(1024, 1024, true, threads).unwrap())
+        });
+    }
     group.finish();
 }
 

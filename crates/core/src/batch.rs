@@ -46,9 +46,9 @@ use crate::engine::{
 use crate::error::CoreError;
 use crate::kernel::{
     count_discordant_edges, repeat_rows, retire_all, run_block_parallel, run_steps,
-    run_voter_steps_tracked, slice_average, slice_potential_and_mean, slice_potential_pi,
+    run_voter_steps, slice_average, slice_potential_and_mean, slice_potential_pi,
     slice_weighted_average, swap_rows, validate_values, AveragingRows, BlockCheck, BlockOutcome,
-    KernelSpec, PotentialTracker, RetiringRows, Unchecked, VoterRows,
+    Discord, KernelSpec, PotentialTracker, RetiringRows, Unchecked, VoterRows,
 };
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
@@ -557,12 +557,12 @@ impl<'g> VoterBatch<'g> {
     pub fn step_many(&mut self, steps: u64) {
         let graph = self.topology.graph();
         for (r, rng) in self.rngs.iter_mut().enumerate() {
-            run_voter_steps_tracked(
+            run_voter_steps(
                 graph,
                 &mut self.opinions[r * self.n..(r + 1) * self.n],
-                &mut self.discord[r],
                 steps,
                 rng,
+                &mut Discord::<false>(&mut self.discord[r]),
             );
         }
         self.time += steps;

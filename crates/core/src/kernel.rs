@@ -23,7 +23,10 @@
 //! batched driver advances through it.
 //!
 //! [`VoterKernel`] is the analogous fast path for the discrete voter
-//! model; [`crate::ReplicaBatch`] runs many independent replicas of either
+//! model, whose update is likewise written once, in `run_voter_steps`,
+//! generic over its check (none for plain stepping, the discordant-edge
+//! count with or without the consensus stop for [`crate::VoterBatch`]);
+//! [`crate::ReplicaBatch`] runs many independent replicas of either
 //! kernel in a structure-of-arrays layout sharing one CSR instance.
 //!
 //! [`OpinionProcess`]: crate::OpinionProcess
@@ -34,7 +37,7 @@ use crate::error::CoreError;
 use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
 use crate::state::REFRESH_INTERVAL;
-use od_graph::{Graph, NodeId};
+use od_graph::{Graph, NodeId, MIN_SPLIT_WORK};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -196,7 +199,8 @@ pub(crate) trait StepCheck {
     fn record(&mut self, u: usize, old: f64, new: f64, values: &[f64]);
 }
 
-/// Plain stepping: never stops, records nothing.
+/// Plain stepping, in both the averaging and the voter loops: never
+/// stops, records nothing.
 pub(crate) struct Unchecked;
 
 impl StepCheck for Unchecked {
@@ -621,32 +625,6 @@ pub(crate) struct TrackerState {
     pub(crate) updates_since_refresh: u64,
 }
 
-/// [`run_voter_steps_tracked`] with the consensus stopping rule folded in:
-/// advances up to `max_steps` voter steps, stopping at the first step with
-/// `discord == 0` (checked *before* each step, mirroring
-/// [`crate::VoterModel::run_to_consensus`]). Returns `(steps taken,
-/// consensus)`. The RNG draw sequence for the steps actually taken is
-/// identical to the scalar model's.
-pub(crate) fn run_voter_steps_tracked_until<R: RngCore + ?Sized>(
-    graph: &Graph,
-    opinions: &mut [u32],
-    discord: &mut u64,
-    max_steps: u64,
-    rng: &mut R,
-) -> (u64, bool) {
-    let mut taken = 0u64;
-    loop {
-        if *discord == 0 {
-            return (taken, true);
-        }
-        if taken == max_steps {
-            return (taken, false);
-        }
-        taken += 1;
-        voter_step_tracked(graph, opinions, discord, rng);
-    }
-}
-
 /// Outcome of stepping one slot through one block.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BlockOutcome {
@@ -902,9 +880,11 @@ impl BlockRows for VoterRows<'_> {
             // Local copies, as in `AveragingRows::run`.
             let (mut discord, mut rng) = (self.discord[slot], self.rngs[slot].clone());
             let (steps, converged) = if self.stop_at_consensus {
-                run_voter_steps_tracked_until(self.graph, opinions, &mut discord, block, &mut rng)
+                let check = &mut Discord::<true>(&mut discord);
+                run_voter_steps(self.graph, opinions, block, &mut rng, check)
             } else {
-                run_voter_steps_tracked(self.graph, opinions, &mut discord, block, &mut rng);
+                let check = &mut Discord::<false>(&mut discord);
+                run_voter_steps(self.graph, opinions, block, &mut rng, check);
                 (
                     block,
                     discord == 0 && opinions.windows(2).all(|w| w[0] == w[1]),
@@ -961,18 +941,6 @@ where
     buf
 }
 
-/// Below this much work a round runs inline: the work of a round is
-/// estimated as `Σ (block + pass)` over its live slots — the steps plus,
-/// in rounds that make one, the O(n) pass of each slot (a boundary
-/// potential check or a row fill; see [`BlockRows::pass_len`]). Spawning and
-/// joining a two-worker scoped team costs about 100 µs on a 2-vCPU VM,
-/// the time of some 10⁴ small-graph steps; measured two-worker rounds
-/// broke even near 2¹⁵ units and won from 2¹⁶ on. Every block of a T(ε)
-/// sweep on graphs of a few hundred nodes falls below it; the
-/// million-node fixed horizons lie far above. `bench_converge`'s T22 rows
-/// and `bench_batch`'s fixed-horizon rows track both sides.
-pub(crate) const MIN_SPLIT_WORK: u64 = 1 << 16;
-
 /// Set by [`split_every_round`].
 static SPLIT_EVERY_ROUND: AtomicBool = AtomicBool::new(false);
 
@@ -987,8 +955,14 @@ pub fn split_every_round() {
     SPLIT_EVERY_ROUND.store(true, Ordering::Relaxed);
 }
 
-/// A round's work (see [`MIN_SPLIT_WORK`]): each live slot's block plus
-/// its pass, if the round makes one.
+/// A round's work, which runs inline below [`MIN_SPLIT_WORK`] (the
+/// cutoff `od-graph`'s row builder counts in arcs): each live slot's
+/// block plus, in rounds that make one, its O(n) pass (a boundary
+/// potential check or a row fill; see [`BlockRows::pass_len`]). Every
+/// block of a T(ε) sweep on graphs of a few hundred nodes falls below
+/// the cutoff; the million-node fixed horizons lie far above.
+/// `bench_converge`'s T22 rows and `bench_batch`'s fixed-horizon rows
+/// track both sides.
 fn round_work<R: BlockRows>(rows: &R, blocks: &[u64]) -> u64 {
     let pass = rows.pass_len() as u64;
     blocks
@@ -1396,7 +1370,7 @@ impl<'g> VoterKernel<'g> {
 
     /// Advances `steps` voter steps.
     pub fn step_many<R: RngCore + ?Sized>(&mut self, steps: u64, rng: &mut R) {
-        run_voter_steps(self.graph, &mut self.opinions, steps, rng);
+        run_voter_steps(self.graph, &mut self.opinions, steps, rng, &mut Unchecked);
         self.time += steps;
     }
 
@@ -1406,54 +1380,89 @@ impl<'g> VoterKernel<'g> {
     }
 }
 
-/// The voter inner loop shared by [`VoterKernel`] and
-/// [`crate::VoterBatch`]: uniform node adopts a uniform neighbour's
-/// opinion, consuming exactly two RNG draws per step like the scalar
-/// [`crate::VoterModel::step`].
-pub(crate) fn run_voter_steps<R: RngCore + ?Sized>(
-    graph: &Graph,
-    opinions: &mut [u32],
-    steps: u64,
-    rng: &mut R,
-) {
-    let n = graph.n();
-    for _ in 0..steps {
-        let u = rng.gen_range(0..n);
-        let neighbors = graph.neighbors(u as NodeId);
-        let v = neighbors[rng.gen_range(0..neighbors.len())];
-        opinions[u] = opinions[v as usize];
+/// What the voter step loop checks before each step and records before
+/// each copy. [`VoterKernel`] uses [`Unchecked`], which never stops and
+/// records nothing, so it never pays for a neighbourhood scan;
+/// [`crate::VoterBatch`] keeps a [`Discord`] count.
+pub(crate) trait VoterCheck {
+    /// Whether the run stops before its next step.
+    fn stop(&self) -> bool;
+    /// Records that a node with `neighbors` is about to copy `new` over
+    /// its `old` opinion; `opinions` still holds `old`.
+    fn record(&mut self, neighbors: &[NodeId], opinions: &[u32], old: u32, new: u32);
+}
+
+impl VoterCheck for Unchecked {
+    #[inline]
+    fn stop(&self) -> bool {
+        false
+    }
+
+    #[inline]
+    fn record(&mut self, _neighbors: &[NodeId], _opinions: &[u32], _old: u32, _new: u32) {}
+}
+
+/// The discordant-edge count, adjusted by one O(d_u) scan of `u`'s
+/// neighbourhood when `u`'s opinion actually flips: the O(1) consensus
+/// test of [`crate::VoterBatch`], in place of O(n) full-vector checks.
+/// `UNTIL_CONSENSUS` stops the run at the first step with no discordant
+/// edge, checked *before* each step as in
+/// [`crate::VoterModel::run_to_consensus`].
+pub(crate) struct Discord<'a, const UNTIL_CONSENSUS: bool>(pub &'a mut u64);
+
+impl<const UNTIL_CONSENSUS: bool> VoterCheck for Discord<'_, UNTIL_CONSENSUS> {
+    #[inline]
+    fn stop(&self) -> bool {
+        UNTIL_CONSENSUS && *self.0 == 0
+    }
+
+    #[inline]
+    // Invariant-backed: the `expect` message states why it cannot fire.
+    #[allow(clippy::expect_used)]
+    fn record(&mut self, neighbors: &[NodeId], opinions: &[u32], old: u32, new: u32) {
+        if old != new {
+            let mut delta = 0i64;
+            for &w in neighbors {
+                let other = opinions[w as usize];
+                delta += i64::from(new != other) - i64::from(old != other);
+            }
+            *self.0 = self
+                .0
+                .checked_add_signed(delta)
+                .expect("discordant-edge count went negative");
+        }
     }
 }
 
-/// One tracked voter step: uniform node adopts a uniform neighbour's
-/// opinion (two RNG draws, identical to [`run_voter_steps`] and the
-/// scalar `VoterModel::step`), adjusting the discordant-edge count with
-/// one O(d_u) neighbourhood scan when the opinion actually flips. The
-/// single home of the discord-maintenance invariant shared by
-/// [`run_voter_steps_tracked`] and [`run_voter_steps_tracked_until`].
-#[inline]
-// Invariant-backed: the `expect` messages state why each cannot fire.
-#[allow(clippy::expect_used)]
-fn voter_step_tracked<R: RngCore + ?Sized>(
+/// The one voter step loop, shared by [`VoterKernel`] and
+/// [`crate::VoterBatch`]: advances up to `max_steps` steps and stops
+/// early at the first step where `check` says so. Returns `(steps taken,
+/// stopped)`. Each step a uniform node adopts a uniform neighbour's
+/// opinion, consuming exactly two RNG draws like the scalar
+/// [`crate::VoterModel::step`], so the draw sequence, and with it the
+/// trajectory, does not depend on the check.
+pub(crate) fn run_voter_steps<R: RngCore + ?Sized, C: VoterCheck>(
     graph: &Graph,
     opinions: &mut [u32],
-    discord: &mut u64,
+    max_steps: u64,
     rng: &mut R,
-) {
-    let u = rng.gen_range(0..graph.n());
-    let neighbors = graph.neighbors(u as NodeId);
-    let v = neighbors[rng.gen_range(0..neighbors.len())];
-    let new = opinions[v as usize];
-    let old = opinions[u];
-    if old != new {
-        let mut delta = 0i64;
-        for &w in neighbors {
-            let other = opinions[w as usize];
-            delta += i64::from(new != other) - i64::from(old != other);
+    check: &mut C,
+) -> (u64, bool) {
+    let n = graph.n();
+    let mut taken = 0u64;
+    loop {
+        if check.stop() {
+            return (taken, true);
         }
-        *discord = discord
-            .checked_add_signed(delta)
-            .expect("discordant-edge count went negative");
+        if taken == max_steps {
+            return (taken, false);
+        }
+        taken += 1;
+        let u = rng.gen_range(0..n);
+        let neighbors = graph.neighbors(u as NodeId);
+        let v = neighbors[rng.gen_range(0..neighbors.len())];
+        let (old, new) = (opinions[u], opinions[v as usize]);
+        check.record(neighbors, opinions, old, new);
         opinions[u] = new;
     }
 }
@@ -1466,24 +1475,6 @@ pub(crate) fn count_discordant_edges(graph: &Graph, opinions: &[u32]) -> u64 {
         .edges()
         .filter(|&(u, v)| opinions[u as usize] != opinions[v as usize])
         .count() as u64
-}
-
-/// [`run_voter_steps`] plus incremental maintenance of the discordant-edge
-/// count: when `u`'s opinion actually flips, the count is adjusted by one
-/// O(d_u) scan of `u`'s neighbourhood, replacing the O(n) full-vector
-/// consensus checks of the batched sweeps. The RNG draw sequence is
-/// **identical** to [`run_voter_steps`] (two draws per step), so tracked
-/// and untracked trajectories coincide bit for bit.
-pub(crate) fn run_voter_steps_tracked<R: RngCore + ?Sized>(
-    graph: &Graph,
-    opinions: &mut [u32],
-    discord: &mut u64,
-    steps: u64,
-    rng: &mut R,
-) {
-    for _ in 0..steps {
-        voter_step_tracked(graph, opinions, discord, rng);
-    }
 }
 
 #[cfg(test)]

@@ -139,6 +139,36 @@ pub(crate) struct CsrScratch {
 /// in-place and shifted patch commits.
 pub(crate) type RowDelta = (Vec<NodeId>, Vec<NodeId>);
 
+/// The checks of one row [`Graph::from_rows`] wrote for node `u` of an
+/// `n`-node graph, in row order: the first neighbour out of range, equal
+/// to `u`, equal to or below its predecessor is the one reported.
+fn check_row(u: usize, row: &[NodeId], n: usize) -> Result<(), GraphError> {
+    let mut prev = None;
+    for &v in row {
+        if v as usize >= n {
+            return Err(GraphError::InvalidNode { node: v as u64, n });
+        }
+        if v as usize == u {
+            return Err(GraphError::SelfLoop { node: u as u64 });
+        }
+        match prev {
+            Some(p) if p == v => {
+                return Err(GraphError::DuplicateEdge {
+                    u: u as u64,
+                    v: v as u64,
+                })
+            }
+            Some(p) if p > v => {
+                return Err(GraphError::BrokenInvariant(format!(
+                    "row of node {u} not ascending: {p} then {v}"
+                )))
+            }
+            _ => prev = Some(v),
+        }
+    }
+    Ok(())
+}
+
 impl Graph {
     /// Builds a graph with `n` nodes from an undirected edge list.
     ///
@@ -548,64 +578,104 @@ impl Graph {
         debug_assert!(self.check_invariants().is_ok());
     }
 
-    /// Builds an undirected graph from CSR rows its generator wrote
-    /// directly: row `u` is `neighbors[offsets[u]..offsets[u + 1]]`,
-    /// strictly ascending, and the rows are symmetric. One linear pass
-    /// rejects what [`Graph::from_edges`] rejects — out-of-range nodes,
-    /// self loops, repeated neighbours — and any row out of order; the
-    /// symmetry the generator guarantees is checked in debug builds.
+    /// Builds an undirected graph row by row — the one CSR row builder of
+    /// the lattice generators. Row `u` has `degree(u)` slots, which
+    /// `fill(u, row)` writes strictly ascending; the rows must be
+    /// symmetric. The offsets are sized with checked arithmetic and the
+    /// neighbour array is reserved fallibly, so an oversized request is
+    /// an error, not an abort. The rows are then filled and checked in
+    /// contiguous chunks of about equal arc counts on up to `threads`
+    /// scoped workers, each with at least `min_work` arcs, so below that
+    /// everything runs inline on the calling thread (generators pass
+    /// [`crate::MIN_SPLIT_WORK`]; tests pass 0 to split small graphs).
+    ///
+    /// The checks reject what [`Graph::from_edges`] rejects —
+    /// out-of-range nodes, self loops, repeated neighbours — and any row
+    /// out of order; the symmetry the generator guarantees is checked in
+    /// debug builds. The lowest failing row's error is the one reported,
+    /// so neither a result nor an error depends on the thread count.
     ///
     /// # Errors
     ///
+    /// [`GraphError::InvalidParameter`] for more than `u32::MAX` nodes or
+    /// an arc count that overflows or cannot be allocated;
     /// [`GraphError::InvalidNode`], [`GraphError::SelfLoop`] and
     /// [`GraphError::DuplicateEdge`] as [`Graph::from_edges`];
-    /// [`GraphError::BrokenInvariant`] for offsets that do not frame
-    /// `neighbors` or a descending row.
-    pub(crate) fn from_sorted_rows(
-        offsets: Vec<usize>,
-        neighbors: Vec<NodeId>,
-    ) -> Result<Graph, GraphError> {
-        let n = offsets.len().saturating_sub(1);
+    /// [`GraphError::BrokenInvariant`] for a descending row.
+    pub(crate) fn from_rows<D, F>(
+        n: usize,
+        degree: D,
+        fill: F,
+        threads: usize,
+        min_work: u64,
+    ) -> Result<Graph, GraphError>
+    where
+        D: Fn(usize) -> usize,
+        F: Fn(usize, &mut [NodeId]) + Sync,
+    {
         if n > u32::MAX as usize {
             return Err(GraphError::InvalidParameter(format!(
                 "graph supports at most {} nodes, got {n}",
                 u32::MAX
             )));
         }
-        if offsets.first() != Some(&0) || offsets.last() != Some(&neighbors.len()) {
-            return Err(GraphError::BrokenInvariant(
-                "row offsets must run from 0 to the neighbour count".into(),
-            ));
-        }
+        let too_large =
+            |what: String| GraphError::InvalidParameter(format!("{what} for a {n}-node graph"));
+        let mut offsets = Vec::new();
+        n.checked_add(1)
+            .and_then(|len| offsets.try_reserve_exact(len).ok())
+            .ok_or_else(|| too_large("cannot allocate the row offsets".into()))?;
+        offsets.push(0usize);
+        let mut arcs = 0usize;
         for u in 0..n {
-            let (start, end) = (offsets[u], offsets[u + 1]);
-            let row = neighbors.get(start..end).ok_or_else(|| {
-                GraphError::BrokenInvariant(format!("offsets decrease at node {u}"))
-            })?;
-            let mut prev = None;
-            for &v in row {
-                if v as usize >= n {
-                    return Err(GraphError::InvalidNode { node: v as u64, n });
-                }
-                if v as usize == u {
-                    return Err(GraphError::SelfLoop { node: u as u64 });
-                }
-                match prev {
-                    Some(p) if p == v => {
-                        return Err(GraphError::DuplicateEdge {
-                            u: u as u64,
-                            v: v as u64,
-                        })
-                    }
-                    Some(p) if p > v => {
-                        return Err(GraphError::BrokenInvariant(format!(
-                            "row of node {u} not ascending: {p} then {v}"
-                        )))
-                    }
-                    _ => prev = Some(v),
+            arcs = arcs
+                .checked_add(degree(u))
+                .ok_or_else(|| too_large("arc count overflows".into()))?;
+            offsets.push(arcs);
+        }
+        // The fallible reservation only probes that the allocator can
+        // serve the arcs; the array itself comes zeroed from the
+        // allocator, so its fresh pages are first touched, and faulted
+        // in, by the workers that fill them rather than by a serial
+        // zeroing pass.
+        Vec::<NodeId>::new()
+            .try_reserve_exact(arcs)
+            .map_err(|_| too_large(format!("cannot allocate {arcs} arcs")))?;
+        let mut neighbors: Vec<NodeId> = vec![0; arcs];
+        let workers = (arcs as u64 / min_work.max(1)).clamp(1, threads.max(1) as u64) as usize;
+        // Chunk `w` starts at the first row at or past arc `w·arcs/workers`.
+        let mut bounds: Vec<usize> = (0..workers)
+            .map(|w| (arcs as u128 * w as u128 / workers as u128) as usize)
+            .map(|arc| offsets.partition_point(|&o| o < arc))
+            .collect();
+        bounds.push(n);
+        let fill_rows = |rows: std::ops::Range<usize>, slots: &mut [NodeId]| {
+            let base = offsets[rows.start];
+            for u in rows {
+                let row = &mut slots[offsets[u] - base..offsets[u + 1] - base];
+                fill(u, row);
+                check_row(u, row, n)?;
+            }
+            Ok(())
+        };
+        let mut results: Vec<Result<(), GraphError>> = vec![Ok(()); workers];
+        std::thread::scope(|scope| {
+            let mut rest = neighbors.as_mut_slice();
+            for (w, result) in results.iter_mut().enumerate() {
+                let rows = bounds[w]..bounds[w + 1];
+                let (slots, tail) =
+                    std::mem::take(&mut rest).split_at_mut(offsets[rows.end] - offsets[rows.start]);
+                rest = tail;
+                let fill_rows = &fill_rows;
+                // The last chunk runs on the calling thread.
+                if w + 1 == workers {
+                    *result = fill_rows(rows, slots);
+                } else {
+                    scope.spawn(move || *result = fill_rows(rows, slots));
                 }
             }
-        }
+        });
+        results.into_iter().collect::<Result<(), _>>()?;
         let graph = Graph {
             offsets,
             neighbors,

@@ -10,10 +10,20 @@
 //! connectivity memo filled (see [`Graph::is_connected`]): the families
 //! that are connected by construction record it, the resampling families
 //! keep the answer of their retry loop's BFS.
+//!
+//! The lattices ([`grid2d`], [`torus`], [`hypercube`]) write their CSR
+//! rows directly, through one row builder that sizes the arrays with
+//! checked arithmetic and a fallible reservation, then fills and checks
+//! the rows in contiguous chunks. [`grid2d_threads`] and
+//! [`hypercube_threads`] spend a thread budget on those chunks, inline
+//! below [`crate::MIN_SPLIT_WORK`] arcs; the plain spellings are their
+//! one-thread form. The graph is the same whatever the budget. The other
+//! families build on the calling thread.
 
 use crate::builder::GraphBuilder;
 use crate::csr::{Graph, NodeId};
 use crate::error::GraphError;
+use crate::MIN_SPLIT_WORK;
 use rand::Rng;
 
 /// Records that a family is connected by construction, so neither the
@@ -128,20 +138,51 @@ pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
 /// (4-regular, needs `rows, cols >= 3` to stay simple); without wrapping it
 /// is the planar grid (`rows, cols >= 2`, irregular at the boundary).
 ///
-/// Node `(r, c)` has id `r * cols + c`.
+/// Node `(r, c)` has id `r * cols + c`. Built on one thread; see
+/// [`grid2d_threads`].
 ///
 /// # Errors
 ///
 /// [`GraphError::InvalidParameter`] when dimensions are too small for the
-/// requested variant.
+/// requested variant, or when `rows * cols` overflows or exceeds the
+/// `u32::MAX` nodes a graph holds (checked before anything is allocated).
 pub fn grid2d(rows: usize, cols: usize, wrap: bool) -> Result<Graph, GraphError> {
+    grid2d_threads(rows, cols, wrap, 1)
+}
+
+/// [`grid2d`] with its rows written and checked on up to `threads`
+/// workers; graphs below [`crate::MIN_SPLIT_WORK`] arcs build inline.
+/// The graph does not depend on `threads`.
+///
+/// # Errors
+///
+/// See [`grid2d`].
+pub fn grid2d_threads(
+    rows: usize,
+    cols: usize,
+    wrap: bool,
+    threads: usize,
+) -> Result<Graph, GraphError> {
+    grid_rows(rows, cols, wrap, threads, MIN_SPLIT_WORK)
+}
+
+/// [`grid2d_threads`] with the row builder's split cutoff as an argument.
+fn grid_rows(
+    rows: usize,
+    cols: usize,
+    wrap: bool,
+    threads: usize,
+    min_work: u64,
+) -> Result<Graph, GraphError> {
     let min = if wrap { 3 } else { 2 };
     if rows < min || cols < min {
         return Err(GraphError::InvalidParameter(format!(
             "grid2d(wrap={wrap}) requires dimensions >= {min}, got {rows}x{cols}"
         )));
     }
-    let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+    let n = rows.checked_mul(cols).ok_or_else(|| {
+        GraphError::InvalidParameter(format!("grid2d {rows}x{cols} overflows the node count"))
+    })?;
     let before = |i: usize, len: usize| match i {
         0 if wrap => Some(len - 1),
         0 => None,
@@ -152,27 +193,59 @@ pub fn grid2d(rows: usize, cols: usize, wrap: bool) -> Result<Graph, GraphError>
         _ if wrap => Some(0),
         _ => None,
     };
-    let n = rows * cols;
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut neighbors = Vec::with_capacity(4 * n);
-    for r in 0..rows {
-        for c in 0..cols {
-            let start = neighbors.len();
-            let candidates = [
-                before(r, rows).map(|r| id(r, c)),
-                before(c, cols).map(|c| id(r, c)),
-                after(c, cols).map(|c| id(r, c)),
-                after(r, rows).map(|r| id(r, c)),
-            ];
-            neighbors.extend(candidates.into_iter().flatten());
-            // Ascending already, except where a wrapped neighbour jumps
-            // to the far side.
-            neighbors[start..].sort_unstable();
-            offsets.push(neighbors.len());
+    // An axis's two neighbours in ascending order; an open boundary's
+    // `None` sorts first and is skipped.
+    let pair = |i: usize, len: usize| {
+        let (a, b) = (before(i, len), after(i, len));
+        if a <= b {
+            [a, b]
+        } else {
+            [b, a]
         }
-    }
-    connected(Graph::from_sorted_rows(offsets, neighbors))
+    };
+    let degree = |u: usize| {
+        if wrap {
+            return 4;
+        }
+        let (r, c) = (u / cols, u % cols);
+        [
+            before(r, rows),
+            after(r, rows),
+            before(c, cols),
+            after(c, cols),
+        ]
+        .iter()
+        .flatten()
+        .count()
+    };
+    let fill = |u: usize, row: &mut [NodeId]| {
+        let (r, c) = (u / cols, u % cols);
+        let id = |r: usize, c: usize| (r * cols + c) as NodeId;
+        // The vertical neighbours lie in other rows, the horizontal ones
+        // in row r, so the row ascends through the vertical neighbours in
+        // earlier rows, the horizontal pair, then those in later rows.
+        let [v0, v1] = pair(r, rows);
+        let [h0, h1] = pair(c, cols);
+        let mut k = 0;
+        let mut put = |v: NodeId| {
+            row[k] = v;
+            k += 1;
+        };
+        for v in [v0, v1].into_iter().flatten() {
+            if v < r {
+                put(id(v, c));
+            }
+        }
+        for h in [h0, h1].into_iter().flatten() {
+            put(id(r, h));
+        }
+        for v in [v0, v1].into_iter().flatten() {
+            if v > r {
+                put(id(v, c));
+            }
+        }
+    };
+    connected(Graph::from_rows(n, degree, fill, threads, min_work))
 }
 
 /// Torus shorthand: `grid2d(rows, cols, true)`.
@@ -185,29 +258,51 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
 }
 
 /// Hypercube `Q_dim` on `2^dim` nodes, `dim`-regular (`1 <= dim <= 20`).
+/// Built on one thread; see [`hypercube_threads`].
 ///
 /// # Errors
 ///
 /// [`GraphError::InvalidParameter`] if `dim` is 0 or greater than 20.
 pub fn hypercube(dim: usize) -> Result<Graph, GraphError> {
+    hypercube_threads(dim, 1)
+}
+
+/// [`hypercube`] with its rows written and checked on up to `threads`
+/// workers; graphs below [`crate::MIN_SPLIT_WORK`] arcs build inline.
+/// The graph does not depend on `threads`.
+///
+/// # Errors
+///
+/// See [`hypercube`].
+pub fn hypercube_threads(dim: usize, threads: usize) -> Result<Graph, GraphError> {
+    hypercube_rows(dim, threads, MIN_SPLIT_WORK)
+}
+
+/// [`hypercube_threads`] with the row builder's split cutoff as an
+/// argument.
+fn hypercube_rows(dim: usize, threads: usize, min_work: u64) -> Result<Graph, GraphError> {
     if dim == 0 || dim > 20 {
         return Err(GraphError::InvalidParameter(format!(
             "hypercube dimension must be in 1..=20, got {dim}"
         )));
     }
-    let n = 1usize << dim;
-    let offsets = (0..=n).map(|u| u * dim).collect();
-    let mut neighbors = Vec::with_capacity(n * dim);
-    for u in 0..n {
+    let fill = |u: usize, row: &mut [NodeId]| {
         // Clearing a set bit lowers the id, the higher bit the more;
         // setting a clear bit raises it. So the row ascends through the
-        // set bits from high to low, then the clear bits from low to high.
-        let flip = |b: usize| (u ^ (1 << b)) as NodeId;
-        let set = |b: &usize| u & (1 << b) != 0;
-        neighbors.extend((0..dim).rev().filter(set).map(flip));
-        neighbors.extend((0..dim).filter(|b| !set(b)).map(flip));
-    }
-    connected(Graph::from_sorted_rows(offsets, neighbors))
+        // set bits from high to low, then the clear bits from low to high:
+        // walking the bits from high to low, a set bit's neighbour takes
+        // the next slot from the front, a clear bit's the next from the
+        // back.
+        let (mut front, mut back) = (0, dim);
+        for b in (0..dim).rev() {
+            let set = (u >> b) & 1;
+            let slot = if set == 1 { front } else { back - 1 };
+            row[slot] = (u ^ (1 << b)) as NodeId;
+            front += set;
+            back -= 1 - set;
+        }
+    };
+    connected(Graph::from_rows(1 << dim, |_| dim, fill, threads, min_work))
 }
 
 /// Complete binary tree with the given number of levels (`levels >= 1`;
@@ -660,6 +755,10 @@ mod tests {
         edges
     }
 
+    /// The thread counts the row-builder tests split at, with the split
+    /// cutoff forced to 0 so even the smallest graphs split.
+    const THREADS: [usize; 4] = [1, 2, 3, 7];
+
     #[test]
     fn lattice_rows_equal_edge_list_builds() {
         for dim in 1..=12 {
@@ -669,9 +768,13 @@ mod tests {
                 .filter(|&(u, v)| u < v)
                 .map(|(u, v)| (u as NodeId, v as NodeId))
                 .collect();
-            let g = hypercube(dim).unwrap();
-            assert_eq!(g, Graph::from_edges(n, &edges).unwrap(), "hypercube({dim})");
-            assert_eq!(g.check_invariants(), Ok(()));
+            let reference = Graph::from_edges(n, &edges).unwrap();
+            assert_eq!(hypercube(dim).unwrap(), reference, "hypercube({dim})");
+            for threads in THREADS {
+                let g = hypercube_rows(dim, threads, 0).unwrap();
+                assert_eq!(g, reference, "hypercube({dim}), {threads} threads");
+                assert_eq!(g.check_invariants(), Ok(()));
+            }
         }
         for rows in 2..=9 {
             for cols in 2..=9 {
@@ -683,42 +786,87 @@ mod tests {
                     let edges = grid_edges(rows, cols, wrap);
                     let reference = Graph::from_edges(rows * cols, &edges).unwrap();
                     assert_eq!(g, reference, "grid2d({rows}, {cols}, {wrap})");
-                    assert_eq!(g.check_invariants(), Ok(()));
+                    for threads in THREADS {
+                        let g = grid_rows(rows, cols, wrap, threads, 0).unwrap();
+                        assert_eq!(
+                            g, reference,
+                            "grid2d({rows}, {cols}, {wrap}), {threads} threads"
+                        );
+                        assert_eq!(g.check_invariants(), Ok(()));
+                    }
                 }
             }
         }
-        let (g, edges) = (torus(64, 33).unwrap(), grid_edges(64, 33, true));
-        assert_eq!(g, Graph::from_edges(64 * 33, &edges).unwrap());
+        let reference = Graph::from_edges(64 * 33, &grid_edges(64, 33, true)).unwrap();
+        assert_eq!(torus(64, 33).unwrap(), reference);
+        for threads in THREADS {
+            assert_eq!(grid_rows(64, 33, true, threads, 0).unwrap(), reference);
+        }
     }
 
     #[test]
     fn sorted_rows_reject_what_from_edges_rejects() {
-        // Node 0's row in each case; node 1's row is [0].
-        let build = |row0: &[NodeId]| {
-            let mut neighbors = row0.to_vec();
-            neighbors.push(0);
-            let offsets = vec![0, row0.len(), row0.len() + 1];
-            Graph::from_sorted_rows(offsets, neighbors)
+        // The 8-cycle's rows, with node 6's replaced by `row6` and node
+        // 7's by `row7`: a bad row 6 must be reported over a bad row 7
+        // at every split, though row 7 sits in a later chunk.
+        let build = |row6: [NodeId; 2], row7: [NodeId; 2], threads: usize| {
+            let fill = |u: usize, row: &mut [NodeId]| {
+                let mut cycle = [((u + 7) % 8) as NodeId, ((u + 1) % 8) as NodeId];
+                cycle.sort_unstable();
+                row.copy_from_slice(match u {
+                    6 => &row6,
+                    7 => &row7,
+                    _ => &cycle,
+                });
+            };
+            Graph::from_rows(8, |_| 2, fill, threads, 0)
         };
-        assert!(build(&[1]).is_ok());
-        assert_eq!(build(&[2]), Err(GraphError::InvalidNode { node: 2, n: 2 }));
-        assert_eq!(build(&[0, 1]), Err(GraphError::SelfLoop { node: 0 }));
-        assert_eq!(
-            build(&[1, 1]),
-            Err(GraphError::DuplicateEdge { u: 0, v: 1 })
-        );
-        assert!(matches!(
-            Graph::from_sorted_rows(vec![0, 2, 2, 3], vec![2, 1, 0]),
-            Err(GraphError::BrokenInvariant(_))
-        ));
-        assert!(matches!(
-            Graph::from_sorted_rows(vec![0, 2, 1], vec![1, 0]),
-            Err(GraphError::BrokenInvariant(_))
-        ));
-        assert!(matches!(
-            Graph::from_sorted_rows(vec![0, 1], vec![]),
-            Err(GraphError::BrokenInvariant(_))
-        ));
+        let self_loop7 = [0, 7];
+        for threads in THREADS {
+            assert_eq!(
+                build([5, 7], [0, 6], threads),
+                cycle(8),
+                "{threads} threads"
+            );
+            assert_eq!(
+                build([5, 8], self_loop7, threads),
+                Err(GraphError::InvalidNode { node: 8, n: 8 })
+            );
+            assert_eq!(
+                build([5, 6], self_loop7, threads),
+                Err(GraphError::SelfLoop { node: 6 })
+            );
+            assert_eq!(
+                build([5, 5], self_loop7, threads),
+                Err(GraphError::DuplicateEdge { u: 6, v: 5 })
+            );
+            assert_eq!(
+                build([7, 5], self_loop7, threads),
+                Err(GraphError::BrokenInvariant(
+                    "row of node 6 not ascending: 7 then 5".into()
+                ))
+            );
+            assert_eq!(
+                build([5, 7], self_loop7, threads),
+                Err(GraphError::SelfLoop { node: 7 })
+            );
+        }
+    }
+
+    #[test]
+    fn oversized_lattices_are_rejected_before_allocating() {
+        let too_large = |g: Result<Graph, GraphError>| {
+            assert!(matches!(g, Err(GraphError::InvalidParameter(_))), "{g:?}");
+        };
+        // 2³² · 2³² wraps to 0 nodes unchecked.
+        too_large(torus(1 << 32, 1 << 32));
+        too_large(grid2d(usize::MAX, 2, false));
+        // 2³² nodes is one more than a graph holds: rejected before the
+        // 32 GiB of row offsets are asked for.
+        too_large(torus(1 << 16, 1 << 16));
+        too_large(grid2d_threads(1 << 16, 1 << 16, false, 7));
+        // An arc count that overflows, on 3 rows of offsets.
+        too_large(Graph::from_rows(3, |_| usize::MAX, |_, _| (), 1, 0));
     }
 
     #[test]

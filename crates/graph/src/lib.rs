@@ -48,3 +48,12 @@ pub use builder::GraphBuilder;
 pub use csr::{DirectedEdge, Graph, NodeId};
 pub use dynamic::{ChurnModel, CommitOutcome, DynamicGraph};
 pub use error::GraphError;
+
+/// Below this much work a parallel pass runs inline on the calling
+/// thread: the one cutoff of the workspace's scoped-thread splits, in
+/// steps (plus O(n) passes) for `od-core`'s block runner and in arcs for
+/// the row builder behind the lattice generators. Spawning and joining a
+/// two-worker scoped team costs about 100 µs on a 2-vCPU VM, the time of
+/// some 10⁴ small-graph steps; measured two-worker block rounds broke
+/// even near 2¹⁵ units and won from 2¹⁶ on.
+pub const MIN_SPLIT_WORK: u64 = 1 << 16;

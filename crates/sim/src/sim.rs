@@ -224,9 +224,12 @@ impl Simulation {
     /// graph (`k > d_min`, disconnected, …).
     pub fn from_spec(spec: &ScenarioSpec) -> Result<Simulation, SimError> {
         spec.validate()?;
-        // `realize` also performs the edge-list IO of `graph file=`
-        // specs, so a bad path or malformed file is a `from_spec` error.
-        let graph = spec.graph.realize()?;
+        // `realize_threads` also performs the edge-list IO of `graph
+        // file=` specs, so a bad path or malformed file is a `from_spec`
+        // error. The build spends the cell's thread budget.
+        let graph = spec
+            .graph
+            .realize_threads(od_core::resolve_threads(spec.threads))?;
         Simulation::assemble(spec.clone(), Arc::new(graph))
     }
 

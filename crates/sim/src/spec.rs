@@ -267,14 +267,24 @@ pub enum GraphSpec {
 }
 
 impl GraphSpec {
-    /// Builds the named graph instance. For [`GraphSpec::File`] use
-    /// [`GraphSpec::realize`], which performs the IO.
+    /// Builds the named graph instance on one thread. For
+    /// [`GraphSpec::File`] use [`GraphSpec::realize`], which performs the
+    /// IO.
     ///
     /// # Errors
     ///
     /// The underlying generator's error, or
     /// [`GraphError::InvalidParameter`] for [`GraphSpec::File`].
     pub fn build(&self) -> Result<Graph, GraphError> {
+        self.build_threads(1)
+    }
+
+    /// [`GraphSpec::build`] on a budget of `threads` workers: the
+    /// lattices (grid, torus, hypercube) write and check their CSR rows
+    /// in parallel above [`od_graph::MIN_SPLIT_WORK`] arcs; the other
+    /// families build on the calling thread. The graph does not depend
+    /// on `threads`.
+    fn build_threads(&self, threads: usize) -> Result<Graph, GraphError> {
         use od_graph::generators as g;
         match *self {
             GraphSpec::Cycle { n } => g::cycle(n),
@@ -282,9 +292,9 @@ impl GraphSpec {
             GraphSpec::Complete { n } => g::complete(n),
             GraphSpec::Star { n } => g::star(n),
             GraphSpec::CompleteBipartite { a, b } => g::complete_bipartite(a, b),
-            GraphSpec::Grid { rows, cols } => g::grid2d(rows, cols, false),
-            GraphSpec::Torus { rows, cols } => g::torus(rows, cols),
-            GraphSpec::Hypercube { dim } => g::hypercube(dim),
+            GraphSpec::Grid { rows, cols } => g::grid2d_threads(rows, cols, false, threads),
+            GraphSpec::Torus { rows, cols } => g::grid2d_threads(rows, cols, true, threads),
+            GraphSpec::Hypercube { dim } => g::hypercube_threads(dim, threads),
             GraphSpec::BinaryTree { levels } => g::binary_tree(levels),
             GraphSpec::Petersen => Ok(g::petersen()),
             GraphSpec::Barbell { k } => g::barbell(k),
@@ -310,9 +320,8 @@ impl GraphSpec {
         }
     }
 
-    /// Builds the graph, performing the edge-list IO for
-    /// [`GraphSpec::File`] — the resolve step [`crate::Simulation`] and
-    /// the sweep runner call.
+    /// Builds the graph on one thread, performing the edge-list IO for
+    /// [`GraphSpec::File`].
     ///
     /// # Errors
     ///
@@ -320,9 +329,17 @@ impl GraphSpec {
     /// naming the file (and line) for IO failures and malformed edge
     /// lists.
     pub fn realize(&self) -> Result<Graph, SimError> {
+        self.realize_threads(1)
+    }
+
+    /// [`GraphSpec::realize`] on a budget of `threads` workers (see
+    /// [`GraphSpec::build_threads`]) — the resolve step
+    /// [`crate::Simulation`] and the sweep runner call with the spec's
+    /// resolved `threads`.
+    pub(crate) fn realize_threads(&self, threads: usize) -> Result<Graph, SimError> {
         match self {
             GraphSpec::File { path, directed } => load_edge_list_file(path, *directed),
-            spec => Ok(spec.build()?),
+            spec => Ok(spec.build_threads(threads)?),
         }
     }
 }

@@ -584,6 +584,11 @@ pub struct SweepPlan {
     pub cell_graph: Vec<usize>,
     /// Whether the sweep runs under common random numbers.
     pub crn: bool,
+    /// The sweep's `threads` (0 = available parallelism). It is not a
+    /// sweep axis, so every cell shares it. [`SweepPlan::build_graph`]
+    /// resolves it for each build it makes, so planning a sweep whose
+    /// cells are all cached (`od-serve`'s replays) never looks it up.
+    threads: usize,
 }
 
 impl SweepPlan {
@@ -614,6 +619,7 @@ impl SweepPlan {
             graph_specs,
             cell_graph,
             crn: sweep.is_crn(),
+            threads: sweep.base.threads,
         })
     }
 
@@ -623,16 +629,16 @@ impl SweepPlan {
         self.cell_graph[cell]
     }
 
-    /// Builds distinct graph `graph_index` (callers cache and share the
-    /// instance across that graph's cells), performing the edge-list IO
-    /// for file graphs.
+    /// Builds distinct graph `graph_index` on the plan's thread budget
+    /// (callers cache and share the instance across that graph's cells),
+    /// performing the edge-list IO for file graphs.
     ///
     /// # Errors
     ///
     /// [`SimError::Graph`] from the generator, or [`SimError::Invalid`]
     /// from the edge-list loader.
     pub fn build_graph(&self, graph_index: usize) -> Result<Graph, SimError> {
-        self.graph_specs[graph_index].realize()
+        self.graph_specs[graph_index].realize_threads(od_core::resolve_threads(self.threads))
     }
 }
 
@@ -651,17 +657,18 @@ pub fn run_cell(
     Simulation::from_spec_with_graph(spec, graph)?.run()
 }
 
-/// Distinct graph `index`, realized into its `graphs` slot on first use
-/// and handed out by `Arc` (no copy) ever after.
+/// Distinct graph `index`, built by [`SweepPlan::build_graph`] into its
+/// `graphs` slot on first use and handed out by `Arc` (no copy) ever
+/// after.
 fn shared_graph(
-    specs: &[GraphSpec],
+    plan: &SweepPlan,
     graphs: &mut [Option<Arc<Graph>>],
     index: usize,
 ) -> Result<Arc<Graph>, SimError> {
     if let Some(g) = &graphs[index] {
         return Ok(Arc::clone(g));
     }
-    let g = Arc::new(specs[index].realize()?);
+    let g = Arc::new(plan.build_graph(index)?);
     graphs[index] = Some(Arc::clone(&g));
     Ok(g)
 }
@@ -676,12 +683,13 @@ fn shared_graph(
 /// [`Simulation::from_spec_with_graph`] (including file-input IO), or
 /// run errors from [`Simulation::run`].
 pub fn run_sweep(sweep: &SweepSpec) -> Result<SweepReport, SimError> {
-    let plan = SweepPlan::new(sweep)?;
+    let mut plan = SweepPlan::new(sweep)?;
     let mut graphs: Vec<Option<Arc<Graph>>> = vec![None; plan.graph_specs.len()];
-    let mut reports = Vec::with_capacity(plan.cells.len());
-    for (i, cell) in plan.cells.into_iter().enumerate() {
+    let cells = std::mem::take(&mut plan.cells);
+    let mut reports = Vec::with_capacity(cells.len());
+    for (i, cell) in cells.into_iter().enumerate() {
         let graph_index = plan.cell_graph[i];
-        let graph = shared_graph(&plan.graph_specs, &mut graphs, graph_index)?;
+        let graph = shared_graph(&plan, &mut graphs, graph_index)?;
         let report = run_cell(&cell.spec, graph)?;
         reports.push(CellReport {
             cell,
@@ -731,6 +739,24 @@ mod tests {
         assert_eq!(cells.len(), 1);
         assert_eq!(cells[0].spec, base());
         assert_eq!(cells[0].label, "");
+    }
+
+    #[test]
+    fn graph_builds_spend_the_sweep_thread_budget() {
+        let mut spec = base();
+        // 262144 arcs: above the row builder's split cutoff.
+        spec.graph = GraphSpec::Torus {
+            rows: 256,
+            cols: 256,
+        };
+        spec.threads = 3;
+        let sweep = SweepSpec {
+            base: spec.clone(),
+            axes: vec![SweepAxis::K(vec![1, 2])],
+        };
+        let plan = SweepPlan::new(&sweep).unwrap();
+        assert_eq!(plan.threads, 3);
+        assert_eq!(plan.build_graph(0).unwrap(), spec.graph.realize().unwrap());
     }
 
     #[test]
@@ -854,9 +880,9 @@ mod tests {
         // Every cell's simulation runs on the one shared allocation.
         let plan = SweepPlan::new(&sweep).unwrap();
         let mut graphs = vec![None; plan.graph_specs.len()];
-        let first = shared_graph(&plan.graph_specs, &mut graphs, plan.cell_graph[0]).unwrap();
+        let first = shared_graph(&plan, &mut graphs, plan.cell_graph[0]).unwrap();
         for (cell, &index) in plan.cells.iter().zip(&plan.cell_graph) {
-            let graph = shared_graph(&plan.graph_specs, &mut graphs, index).unwrap();
+            let graph = shared_graph(&plan, &mut graphs, index).unwrap();
             assert!(Arc::ptr_eq(&graph, &first));
             let sim = Simulation::from_spec_with_graph(&cell.spec, graph).unwrap();
             assert!(std::ptr::eq(sim.graph(), &*first));
