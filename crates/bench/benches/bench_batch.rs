@@ -1,7 +1,8 @@
 //! Batched step kernels at production scale: `StepKernel::step_many` on
 //! graphs up to n = 10^6, `ReplicaBatch` structure-of-arrays sweeps, a
-//! fixed-horizon million-node cell at 1 and 2 threads, and the CSR
-//! builds of the two million-node topologies those sweeps run on.
+//! fixed-horizon million-node cell at 1 and 2 threads, two consecutive
+//! cells of the end-to-end `big_graph` sweeps on their shared graph, and
+//! the CSR builds of the two million-node topologies those sweeps run on.
 //!
 //! Each `step_many` benchmark advances a fixed block of steps per
 //! iteration (the reported time divides by `STEPS_PER_ITER` to give
@@ -19,6 +20,7 @@ use od_core::{
 use od_graph::{generators, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::hint::black_box;
 
 /// Steps advanced per benchmark iteration; divide reported medians by this
 /// to get ns/step.
@@ -123,6 +125,42 @@ fn replica_batch_fixed_horizon(c: &mut Criterion) {
     group.finish();
 }
 
+/// Two consecutive fixed-horizon cells of a `big_graph` sweep on one
+/// shared million-node graph, as its `sweep k = 1,2,3,4` cells run: per
+/// cell, 4 replicas of a linear ξ(0) built and stepped 65536 steps at 2
+/// threads, `k = 1` then `k = 2`. Each batch takes the value rows the one
+/// before it dropped, so the row covers the buffer recycling and the
+/// regular-graph row lookup together. The graph is built once, outside
+/// the timing.
+fn fixed_horizon_cells(c: &mut Criterion) {
+    const HORIZON: u64 = 65_536;
+    const THREADS: usize = 2;
+    let mut group = c.benchmark_group("batch/fixed_horizon_cells");
+    group.sample_size(5);
+    let seeds = [1u64, 2, 3, 4];
+    for name in ["hypercube20", "torus1024x1024"] {
+        let g = match name {
+            "hypercube20" => generators::hypercube(20),
+            _ => generators::torus(1024, 1024),
+        }
+        .unwrap();
+        let xi0: Vec<f64> = (0..g.n()).map(|i| i as f64 / (g.n() - 1) as f64).collect();
+        group.bench_function(format!("{name}/r4/threads{THREADS}"), |b| {
+            b.iter(|| {
+                for k in [1, 2] {
+                    let spec = KernelSpec::Node(NodeModelParams::new(0.5, k).unwrap());
+                    let topology = Topology::from(&g);
+                    let mut batch =
+                        ReplicaBatch::with_topology_threads(topology, spec, &xi0, &seeds, THREADS)
+                            .unwrap();
+                    black_box(batch.run_epochs(HORIZON, 1, THREADS).unwrap());
+                }
+            });
+        });
+    }
+    group.finish();
+}
+
 /// Building the two million-node CSRs of the end-to-end `big_graph`
 /// sweeps from their generators: rows written directly, no edge list.
 /// Nothing is read afterwards, so the rows time what every cell's graph
@@ -155,6 +193,7 @@ criterion_group!(
     kernel_edge_step_many,
     replica_batch_step_many,
     replica_batch_fixed_horizon,
+    fixed_horizon_cells,
     voter_batch_step_many
 );
 criterion_main!(benches);

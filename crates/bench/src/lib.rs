@@ -14,8 +14,13 @@
 //! | `bench_spectral`    | spectral substrate behind all convergence predictions |
 //! | `bench_runtime`     | RUNTIME (message-passing overhead) |
 //! | `bench_baselines`   | CMP-BASE (baseline step kernels) |
+//!
+//! The `bench-compare` binary ([`compare`]) diffs two `OD_BENCH_JSON`
+//! snapshots row by row.
 
 use od_graph::{generators, Graph};
+
+pub mod compare;
 
 /// Standard benchmark graph set: one representative per family used in the
 /// experiments.

@@ -36,6 +36,14 @@
 //! initial rows, so one thread budget covers a batch from allocation to
 //! report.
 //!
+//! A dropped [`ReplicaBatch`] leaves its value buffer behind as the
+//! process-wide spare (one buffer, the most recent drop wins), and the
+//! next batch or [`crate::ConvergeWindow`] with replicas takes it instead
+//! of mapping fresh pages when its capacity holds the new rows (a smaller
+//! spare is freed first). Every recycled element is overwritten before it
+//! is read, so results never depend on what the spare held; a run of
+//! equal-sized cells maps its rows once per process.
+//!
 //! [`StepKernel`]: crate::StepKernel
 
 use crate::dynamic::Topology;
@@ -54,6 +62,35 @@ use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::{Mutex, PoisonError};
+
+/// The spare value buffer every [`ReplicaBatch`] leaves behind when it is
+/// dropped (see the module docs).
+pub(crate) static SPARE_ROWS: Mutex<Vec<f64>> = Mutex::new(Vec::new());
+
+/// Takes the spare for a request of `len` values, leaving an empty one;
+/// a request for no values (a zero-replica batch) leaves it in place. The
+/// caller sizes it through [`crate::kernel::reuse_rows`]. The lock only
+/// guards a swap of one `Vec`, valid at every step, so a poisoned lock is
+/// recovered.
+pub(crate) fn take_spare(spare: &Mutex<Vec<f64>>, len: usize) -> Vec<f64> {
+    if len == 0 {
+        return Vec::new();
+    }
+    std::mem::take(&mut *spare.lock().unwrap_or_else(PoisonError::into_inner))
+}
+
+/// Leaves `rows` as the spare and frees the one it replaces, after the
+/// lock is released; a buffer without storage leaves the spare in place.
+fn leave_spare(spare: &Mutex<Vec<f64>>, rows: Vec<f64>) {
+    if rows.capacity() > 0 {
+        let replaced = std::mem::replace(
+            &mut *spare.lock().unwrap_or_else(PoisonError::into_inner),
+            rows,
+        );
+        drop(replaced);
+    }
+}
 
 /// `R` independent replicas of one averaging scenario (see the module
 /// docs).
@@ -123,9 +160,10 @@ impl<'g> ReplicaBatch<'g> {
 
     /// [`ReplicaBatch::with_topology`] whose value rows are written by
     /// `threads` workers (0 = available parallelism) of the block runner:
-    /// the buffer is a zeroed allocation and each worker copies `ξ(0)`
-    /// into its own rows, so a large batch takes its page faults in
-    /// parallel. The batch is the same for every thread count.
+    /// the buffer is the spare a dropped batch left (see the module docs)
+    /// or a zeroed allocation, and each worker copies `ξ(0)` into its own
+    /// rows, so a large fresh batch takes its page faults in parallel. The
+    /// batch is the same for every thread count and every spare.
     ///
     /// # Errors
     ///
@@ -141,10 +179,11 @@ impl<'g> ReplicaBatch<'g> {
         validate_values(graph, xi0)?;
         spec.validate(graph)?;
         let (sample, perm) = spec.scratch();
+        let spare = take_spare(&SPARE_ROWS, seeds.len() * xi0.len());
         Ok(ReplicaBatch {
             spec,
             n: xi0.len(),
-            values: repeat_rows(xi0, seeds.len(), resolve_threads(threads)),
+            values: repeat_rows(xi0, seeds.len(), resolve_threads(threads), spare),
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             sample,
             perm,
@@ -429,6 +468,13 @@ impl<'g> ReplicaBatch<'g> {
     }
 }
 
+/// Leaves the value rows as the spare for the next batch.
+impl Drop for ReplicaBatch<'_> {
+    fn drop(&mut self) {
+        leave_spare(&SPARE_ROWS, std::mem::take(&mut self.values));
+    }
+}
+
 /// `R` independent replicas of a voter-model scenario (structure-of-arrays
 /// opinions, one shared topology). The discrete sibling of
 /// [`ReplicaBatch`].
@@ -515,7 +561,7 @@ impl<'g> VoterBatch<'g> {
         let discord0 = count_discordant_edges(graph, opinions0);
         Ok(VoterBatch {
             n: opinions0.len(),
-            opinions: repeat_rows(opinions0, seeds.len(), resolve_threads(threads)),
+            opinions: repeat_rows(opinions0, seeds.len(), resolve_threads(threads), Vec::new()),
             discord: vec![discord0; seeds.len()],
             rngs: seeds.iter().map(|&s| StdRng::seed_from_u64(s)).collect(),
             time: 0,
@@ -825,6 +871,7 @@ impl RetiringRows for Averaging<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::reuse_rows;
     use crate::window::ConvergeWindow;
     use crate::{NodeModel, NodeModelParams, OpinionProcess, StepKernel, VoterModel};
     use od_graph::{generators, ChurnModel, DynamicGraph};
@@ -1435,6 +1482,35 @@ mod tests {
         // Empty batch.
         let mut empty = VoterBatch::new(&g, &ops0, &[]).unwrap();
         assert!(empty.run_to_consensus(10, 0, 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn spare_rows_are_taken_only_for_rows_and_replaced_by_the_latest_drop() {
+        let spare = Mutex::new(Vec::new());
+        leave_spare(&spare, vec![1.0; 10]);
+        // A zero-replica request neither takes nor replaces the spare.
+        assert!(take_spare(&spare, 0).is_empty());
+        leave_spare(&spare, Vec::new());
+        assert_eq!(spare.lock().unwrap().capacity(), 10);
+        // Most recent drop wins.
+        leave_spare(&spare, vec![2.0; 30]);
+        assert_eq!(*spare.lock().unwrap(), vec![2.0; 30]);
+        // A spare with room is recycled as is (no zeroing pass).
+        let taken = take_spare(&spare, 20);
+        assert!(spare.lock().unwrap().is_empty());
+        let ptr = taken.as_ptr();
+        let rows = reuse_rows(taken, 20);
+        assert_eq!((rows.as_ptr(), &rows[..]), (ptr, &[2.0; 20][..]));
+    }
+
+    #[test]
+    fn a_spare_too_small_for_a_request_is_freed_not_grown() {
+        let spare = Mutex::new(Vec::new());
+        leave_spare(&spare, vec![5.0; 8]);
+        let rows = reuse_rows(take_spare(&spare, 12), 12);
+        // A fresh zeroed buffer, and nothing left behind.
+        assert_eq!(rows, vec![0.0; 12]);
+        assert_eq!(spare.lock().unwrap().capacity(), 0);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::error::CoreError;
 use crate::kernel::StepKernel;
 use crate::process::OpinionProcess;
 use rand::RngCore;
+use std::sync::OnceLock;
 
 /// Result of driving a process towards ε-convergence.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -273,12 +274,17 @@ pub(crate) fn resolve_check_every(check_every: u64, n: usize) -> u64 {
 /// Resolves a user-facing worker-thread parameter (`0` = available
 /// parallelism, at least 1). The one home of that rule: the batched
 /// drivers, the Monte-Carlo runner and the daemon's worker pool all
-/// resolve through it.
+/// resolve through it. Available parallelism is read once per process
+/// (the lookup reads cgroup files, tens of microseconds a call) and
+/// reused by every later call.
 pub fn resolve_threads(threads: usize) -> usize {
+    static AVAILABLE: OnceLock<usize> = OnceLock::new();
     if threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        *AVAILABLE.get_or_init(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
     } else {
         threads
     }
@@ -291,6 +297,15 @@ mod tests {
     use od_graph::generators;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn resolved_thread_counts_are_stable() {
+        let available = resolve_threads(0);
+        assert!(available >= 1);
+        assert_eq!(resolve_threads(0), available);
+        assert_eq!(resolve_threads(3), 3);
+        assert_eq!(resolve_threads(1), 1);
+    }
 
     #[test]
     fn node_model_reaches_epsilon() {

@@ -22,6 +22,21 @@
 //! plain stepping, the tracked potential for the exact ε-rule). Every
 //! batched driver advances through it.
 //!
+//! Row lookup is chosen once per call, like the weighted or unweighted
+//! update: on an unweighted `d`-regular graph ([`Graph::regular_degree`],
+//! O(1) from the `min_degree` memo) the NodeModel reads `u`'s row as
+//! `heads[u·d..u·d + d]` and the O(n) φ/M passes weight every node by the
+//! constant `d`, so neither loads `offsets[u]`; elsewhere both go through
+//! the offsets. The slices and weights are the same either way, so the
+//! results are the same bits.
+//!
+//! Row buffers are recycled: [`repeat_rows`] fills the buffer it is
+//! handed (a dropped [`crate::ReplicaBatch`]'s spare, or an empty `Vec`)
+//! in one parallel round with no zeroing pass, resizing it through
+//! [`reuse_rows`] when its capacity holds the rows and allocating fresh,
+//! untouched pages otherwise. Every row is written before it is read, so
+//! what the spare held never reaches a result.
+//!
 //! [`VoterKernel`] is the analogous fast path for the discrete voter
 //! model, whose update is likewise written once, in `run_voter_steps`,
 //! generic over its check (none for plain stepping, the discordant-edge
@@ -255,7 +270,10 @@ impl StepCheck for Tracked<'_> {
 /// [`Graph::is_weighted`]: each model's loop is instantiated once per
 /// update, so neither branches on weights per step. Unit-weight weighted
 /// graphs reproduce the unweighted expressions bit-for-bit, and
-/// unweighted graphs never touch the weighted code at all.
+/// unweighted graphs never touch the weighted code at all. The NodeModel
+/// picks its row lookup the same way: an unweighted regular graph
+/// ([`Graph::regular_degree`]) indexes rows by `u·d`, the same slices the
+/// offsets give.
 #[allow(clippy::too_many_arguments)] // the loop state plus its check
 pub(crate) fn run_steps<R: RngCore + ?Sized, C: StepCheck>(
     graph: &Graph,
@@ -270,10 +288,22 @@ pub(crate) fn run_steps<R: RngCore + ?Sized, C: StepCheck>(
     match spec {
         KernelSpec::Node(params) => {
             let row = (values, sample, perm);
-            if graph.is_weighted() {
-                node_steps(graph, params, row, steps, rng, check, weighted_sample_mean)
-            } else {
-                node_steps(graph, params, row, steps, rng, check, sample_mean)
+            let offsets_row = move |u| graph.neighbors(u);
+            match (graph.is_weighted(), graph.regular_degree()) {
+                (true, _) => {
+                    let update = (offsets_row, weighted_sample_mean);
+                    node_steps(graph, params, row, steps, rng, check, update)
+                }
+                (false, Some(d)) => {
+                    let heads = graph.heads();
+                    let regular_row = move |u: NodeId| &heads[u as usize * d..][..d];
+                    let update = (regular_row, sample_mean);
+                    node_steps(graph, params, row, steps, rng, check, update)
+                }
+                (false, None) => {
+                    let update = (offsets_row, sample_mean);
+                    node_steps(graph, params, row, steps, rng, check, update)
+                }
             }
         }
         KernelSpec::Edge(params) => match graph.weight_slice() {
@@ -291,22 +321,25 @@ pub(crate) fn run_steps<R: RngCore + ?Sized, C: StepCheck>(
     }
 }
 
-/// The NodeModel's step loop: uniform node `u`, `k` sampled neighbours,
-/// `ξ_u ← α ξ_u + (1−α)·mean`, where `mean` is `None` when the sample
-/// has nothing to offer (every sampled weight zero; the value stays put
-/// and nothing is recorded).
-fn node_steps<R, C, M>(
-    graph: &Graph,
+/// The NodeModel's step loop: uniform node `u`, `k` neighbours sampled
+/// from `row_of(u)`, `ξ_u ← α ξ_u + (1−α)·mean`, where `mean` is `None`
+/// when the sample has nothing to offer (every sampled weight zero; the
+/// value stays put and nothing is recorded). `row_of` is `u`'s CSR row:
+/// read through the offsets in general, `heads[u·d..u·d + d]` on an
+/// unweighted `d`-regular graph, which saves the offsets load per step.
+fn node_steps<'g, R, C, L, M>(
+    graph: &'g Graph,
     params: NodeModelParams,
     (values, sample, perm): (&mut [f64], &mut Vec<NodeId>, &mut Vec<u32>),
     max_steps: u64,
     rng: &mut R,
     check: &mut C,
-    mean: M,
+    (row_of, mean): (L, M),
 ) -> (u64, bool)
 where
     R: RngCore + ?Sized,
     C: StepCheck,
+    L: Fn(NodeId) -> &'g [NodeId],
     M: Fn(&Graph, NodeId, &[NodeId], &[f64]) -> Option<f64>,
 {
     let n = graph.n();
@@ -326,7 +359,7 @@ where
             continue;
         }
         let u = rng.gen_range(0..n);
-        sample_k_neighbors(graph.neighbors(u as NodeId), k, sample, perm, rng);
+        sample_k_neighbors(row_of(u as NodeId), k, sample, perm, rng);
         let Some(mean) = mean(graph, u as NodeId, sample, values) else {
             continue;
         };
@@ -387,19 +420,29 @@ pub(crate) fn slice_average(values: &[f64]) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
+/// `Σ_u term(s_u, ξ_u)` in node order, with `s_u` the row weight sum
+/// ([`Graph::row_weight_sum`]). An unweighted `d`-regular graph passes
+/// the constant `d as f64`, which is what every row's sum reads there, so
+/// the pass loads no offsets and gives the same bits.
+#[inline]
+fn row_weighted_sum(graph: &Graph, values: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
+    match graph.regular_degree().filter(|_| !graph.is_weighted()) {
+        Some(d) => values.iter().map(|&x| term(d as f64, x)).sum(),
+        None => values
+            .iter()
+            .enumerate()
+            .map(|(u, &x)| term(graph.row_weight_sum(u as NodeId), x))
+            .sum(),
+    }
+}
+
 /// Degree-weighted average `Σ (d_u/2m) ξ_u` (the NodeModel martingale);
 /// on weighted graphs the strength-weighted average `Σ (s_u/W) ξ_u` with
 /// `s_u` the row weight sum and `W = Σ s_u`. For unweighted and
 /// unit-weight graphs both normalizers are exactly the integer degree
 /// counts, so this is bit-identical to the historical expression.
 pub(crate) fn slice_weighted_average(graph: &Graph, values: &[f64]) -> f64 {
-    let total = graph.total_weight();
-    values
-        .iter()
-        .enumerate()
-        .map(|(u, &x)| graph.row_weight_sum(u as NodeId) * x)
-        .sum::<f64>()
-        / total
+    row_weighted_sum(graph, values, |w, x| w * x) / graph.total_weight()
 }
 
 /// The paper's potential `φ(ξ) = ⟨ξ,ξ⟩_π − ⟨1,ξ⟩_π²` (Eq. 3), computed in
@@ -421,15 +464,11 @@ pub(crate) fn slice_potential_pi(graph: &Graph, values: &[f64]) -> f64 {
 pub(crate) fn slice_potential_and_mean(graph: &Graph, values: &[f64]) -> (f64, f64) {
     let mu = slice_weighted_average(graph, values);
     let total = graph.total_weight();
-    let phi = values
-        .iter()
-        .enumerate()
-        .map(|(u, &x)| {
-            let c = x - mu;
-            graph.row_weight_sum(u as NodeId) / total * c * c
-        })
-        .sum::<f64>()
-        .max(0.0);
+    let phi = row_weighted_sum(graph, values, |w, x| {
+        let c = x - mu;
+        w / total * c * c
+    })
+    .max(0.0);
     (phi, mu)
 }
 
@@ -898,7 +937,9 @@ impl BlockRows for VoterRows<'_> {
 
 /// Row initialisation: every slot's row becomes a copy of `row`. Run as
 /// a zero-length round by [`repeat_rows`], so the workers that later step
-/// a batch's rows are the ones taking their first-touch page faults.
+/// a batch's rows are the ones taking their first-touch page faults (on a
+/// fresh buffer) or pulling its lines into their caches (on a recycled
+/// one).
 pub(crate) struct FillRows<'a, T> {
     pub row: &'a [T],
     pub buf: &'a mut [T],
@@ -923,14 +964,29 @@ impl<T: Copy + Send + Sync> BlockRows for FillRows<'_, T> {
     }
 }
 
-/// `slots` copies of `row` in one replica-major buffer: a zeroed
-/// allocation (untouched pages) that `threads` workers of the block
-/// runner fill, each its own rows.
-pub(crate) fn repeat_rows<T>(row: &[T], slots: usize, threads: usize) -> Vec<T>
+/// `buf` resized to `len` elements if its capacity holds them, else freed
+/// and replaced by a zeroed allocation (untouched pages). A recycled
+/// buffer keeps whatever it held: callers overwrite every element before
+/// reading it.
+pub(crate) fn reuse_rows<T: Copy + Default>(mut buf: Vec<T>, len: usize) -> Vec<T> {
+    if buf.capacity() >= len {
+        buf.resize(len, T::default());
+        buf
+    } else {
+        drop(buf);
+        vec![T::default(); len]
+    }
+}
+
+/// `slots` copies of `row` in one replica-major buffer: `buf` recycled
+/// through [`reuse_rows`] (an empty `Vec` for a fresh allocation), which
+/// `threads` workers of the block runner fill, each its own rows, with no
+/// zeroing pass before.
+pub(crate) fn repeat_rows<T>(row: &[T], slots: usize, threads: usize, buf: Vec<T>) -> Vec<T>
 where
     T: Copy + Default + Send + Sync,
 {
-    let mut buf = vec![T::default(); slots * row.len()];
+    let mut buf = reuse_rows(buf, slots * row.len());
     let mut outcomes = vec![BlockOutcome::default(); slots];
     run_block_parallel(
         FillRows { row, buf: &mut buf },
@@ -1550,10 +1606,32 @@ mod tests {
         let row: Vec<f64> = (0..1 << 14).map(f64::from).collect();
         let expected = row.repeat(5);
         for threads in [1, 2, 3, 8] {
-            assert_eq!(repeat_rows(&row, 5, threads), expected, "threads {threads}");
+            let fresh = repeat_rows(&row, 5, threads, Vec::new());
+            assert_eq!(fresh, expected, "threads {threads}");
+            // A dirty buffer, longer than needed or shorter with room.
+            let mut short = vec![f64::NAN; 6 << 14];
+            short.truncate(1 << 14);
+            for dirty in [vec![-1.0; 7 << 14], short] {
+                let recycled = repeat_rows(&row, 5, threads, dirty);
+                assert_eq!(recycled, expected, "threads {threads}");
+            }
         }
-        assert!(repeat_rows(&row, 0, 2).is_empty());
-        assert_eq!(repeat_rows::<u32>(&[], 3, 2), Vec::<u32>::new());
+        assert!(repeat_rows(&row, 0, 2, Vec::new()).is_empty());
+        assert_eq!(repeat_rows::<u32>(&[], 3, 2, vec![7]), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn reused_rows_keep_a_big_enough_buffer_and_free_a_small_one() {
+        let big = vec![3.0; 100];
+        let ptr = big.as_ptr();
+        let reused = reuse_rows(big, 40);
+        assert_eq!((reused.as_ptr(), reused.len()), (ptr, 40));
+        // The truncated buffer still has room for 100 values.
+        let regrown = reuse_rows(reused, 100);
+        assert_eq!((regrown.as_ptr(), regrown.len()), (ptr, 100));
+        let small = vec![3.0; 10];
+        let fresh = reuse_rows(small, 11);
+        assert_eq!(fresh, vec![0.0; 11]);
     }
 
     fn assert_bits_identical(a: &[f64], b: &[f64]) {

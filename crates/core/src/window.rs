@@ -31,10 +31,12 @@ use od_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batch::{Averaging, ReplicaBatch};
+use crate::batch::{take_spare, Averaging, ReplicaBatch, SPARE_ROWS};
 use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
-use crate::kernel::{BlockCheck, KernelSpec, PotentialTracker, Retirement, TrackerState};
+use crate::kernel::{
+    reuse_rows, BlockCheck, KernelSpec, PotentialTracker, Retirement, TrackerState,
+};
 
 /// Retirement-aware Monte-Carlo convergence sweep, advanced block round
 /// by block round: drives one trial per seed to ε-convergence (or through
@@ -106,7 +108,9 @@ impl<'g> ConvergeWindow<'g> {
         let total = seeds.len();
         let capacity = capacity.clamp(1, total.max(1));
         let exact = config.stop == StopRule::Exact;
-        batch.values = vec![0.0f64; capacity * n];
+        // Slot rows are written on admission or restore before any read,
+        // so the storage may be the spare a dropped batch left.
+        batch.values = reuse_rows(take_spare(&SPARE_ROWS, capacity * n), capacity * n);
         Ok(ConvergeWindow {
             batch,
             xi0: xi0.to_vec(),

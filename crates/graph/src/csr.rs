@@ -945,14 +945,14 @@ impl Graph {
     /// `Some(d)` if every node has degree exactly `d`, else `None`.
     ///
     /// Theorem 2.2(2) (concentration) and the whole of §5.3 apply to regular
-    /// graphs; experiments use this to dispatch.
+    /// graphs; experiments use this to dispatch, and the step kernels index
+    /// a regular graph's rows as `heads()[u·d..u·d + d]`. O(1) after the
+    /// [`Graph::min_degree`] memo: the degrees sum to the arc count and none
+    /// is below `d_min`, so `d_min · n` equals the arc count exactly when
+    /// every degree is `d_min`.
     pub fn regular_degree(&self) -> Option<usize> {
-        let n = self.n();
-        if n == 0 {
-            return None;
-        }
-        let d = self.degree(0);
-        (1..n as NodeId).all(|u| self.degree(u) == d).then_some(d)
+        let (n, d) = (self.n(), self.min_degree());
+        (n > 0 && d * n == self.neighbors.len()).then_some(d)
     }
 
     /// Whether the graph is connected (empty and singleton graphs count as
@@ -1617,5 +1617,50 @@ mod tests {
         assert_eq!(g.regular_degree(), None);
         assert_eq!(g.min_degree(), 1);
         assert_eq!(g.max_degree(), 2);
+    }
+
+    /// `regular_degree` by a direct scan of every row.
+    fn scanned_regular_degree(g: &Graph) -> Option<usize> {
+        let d = (g.n() > 0).then(|| g.degree(0))?;
+        g.nodes().all(|u| g.degree(u) == d).then_some(d)
+    }
+
+    #[test]
+    fn regular_degree_matches_a_degree_scan() {
+        let graphs = [
+            triangle(),
+            crate::generators::hypercube(4).unwrap(),
+            crate::generators::star(5).unwrap(),
+            Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap(),
+            Graph::from_edges(0, &[]).unwrap(),
+            Graph::from_edges(4, &[]).unwrap(),
+            Graph::from_directed_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap(),
+            Graph::from_directed_edges(3, &[(0, 1), (0, 2), (1, 2)]).unwrap(),
+        ];
+        for g in &graphs {
+            assert_eq!(g.regular_degree(), scanned_regular_degree(g), "{g:?}");
+        }
+        // Churned commits, each read after it lands: a rewire that breaks
+        // regularity, one that restores it, and a degree-keeping swap.
+        let mut dynamic = crate::DynamicGraph::new(crate::generators::torus(4, 4).unwrap());
+        let steps: [&[(bool, NodeId, NodeId)]; 3] = [
+            &[(false, 0, 1), (true, 0, 5)],
+            &[(false, 0, 5), (true, 0, 1)],
+            &[(false, 0, 1), (false, 5, 6), (true, 0, 5), (true, 1, 6)],
+        ];
+        for (i, step) in steps.iter().enumerate() {
+            for &(add, u, v) in *step {
+                let changed = if add {
+                    dynamic.add_edge(u, v)
+                } else {
+                    dynamic.remove_edge(u, v)
+                };
+                assert!(changed.unwrap(), "step {i}: edge ({u}, {v})");
+            }
+            dynamic.commit();
+            let g = dynamic.graph();
+            assert_eq!(g.regular_degree(), scanned_regular_degree(g), "step {i}");
+        }
+        assert_eq!(dynamic.graph().regular_degree(), Some(4));
     }
 }

@@ -11,8 +11,8 @@
 //! either, however the block runner splits it.
 
 use opinion_dynamics::core::{
-    EdgeModel, EdgeModelParams, KernelSpec, NodeModel, NodeModelParams, OpinionProcess,
-    ReplicaBatch, StepKernel, StepRecord,
+    run_kernel_until_converged, ConvergeConfig, ConvergeWindow, EdgeModel, EdgeModelParams,
+    KernelSpec, NodeModel, NodeModelParams, OpinionProcess, ReplicaBatch, StepKernel, StepRecord,
 };
 use opinion_dynamics::graph::generators;
 use opinion_dynamics::sim::{
@@ -115,6 +115,62 @@ fn replica_batch_runs_are_byte_identical_for_equal_seeds() {
     };
 
     assert_bits_identical(&run(), &run());
+}
+
+#[test]
+fn recycled_rows_do_not_leak_into_a_batch() {
+    // A dropped batch leaves its value rows as the spare the next batch
+    // takes. Drop a batch of another scenario (other n, k and seeds),
+    // stepped away from its ξ(0), then build the real one: its rows and
+    // its fixed-horizon reports must equal per-seed kernel runs bit for
+    // bit. 3 rows of 4096 nodes on 2^14-step epochs split at 2 threads.
+    let g = generators::torus(64, 64).unwrap();
+    let xi0: Vec<f64> = (0..g.n()).map(|i| (i % 13) as f64 * 0.5).collect();
+    let spec = KernelSpec::Node(NodeModelParams::new(0.5, 2).unwrap());
+    let seeds = [91u64, 92, 93];
+    let (epoch, epochs) = (1u64 << 14, 2);
+    let other = generators::torus(80, 80).unwrap();
+    let other_xi0 = vec![-7.25; other.n()];
+    let other_spec = KernelSpec::Node(NodeModelParams::new(0.3, 3).unwrap());
+    for _ in 0..2 {
+        let mut dirty = ReplicaBatch::new(&other, other_spec, &other_xi0, &[5, 6, 7, 8]).unwrap();
+        dirty.step_many(50_000);
+        drop(dirty);
+        let mut batch = ReplicaBatch::new(&g, spec, &xi0, &seeds).unwrap();
+        assert_bits_identical(batch.values(), &xi0.repeat(seeds.len()));
+        let reports = batch.run_epochs(epoch, epochs, 2).unwrap();
+        for (r, &seed) in seeds.iter().enumerate() {
+            let mut kernel = StepKernel::new(&g, xi0.clone(), spec).unwrap();
+            kernel.step_many(epoch * epochs, &mut StdRng::seed_from_u64(seed));
+            assert_bits_identical(batch.replica_values(r), kernel.values());
+            let report = &reports[r];
+            assert_eq!(report.steps, epoch * epochs);
+            assert_eq!(report.potential.to_bits(), kernel.potential_pi().to_bits());
+            assert_eq!(
+                report.weighted_average.to_bits(),
+                kernel.weighted_average().to_bits()
+            );
+        }
+    }
+    // A streaming window takes the spare for its slot rows too: on a dirty
+    // spare its block-rule reports must equal per-seed kernel runs.
+    let small = generators::torus(8, 8).unwrap();
+    let small_xi0 = &xi0[..small.n()];
+    let (eps, budget, check) = (1e-6, 200_000, 64);
+    let config = ConvergeConfig::new(eps, budget).with_check_every(check);
+    let mut dirty = ReplicaBatch::new(&other, other_spec, &other_xi0, &[5, 6]).unwrap();
+    dirty.step_many(50_000);
+    drop(dirty);
+    let mut window = ConvergeWindow::new(&small, spec, small_xi0, &seeds, 2, config).unwrap();
+    window.run_to_completion();
+    for (report, &seed) in window.reports().iter().zip(&seeds) {
+        let mut kernel = StepKernel::new(&small, small_xi0.to_vec(), spec).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let expected = run_kernel_until_converged(&mut kernel, &mut rng, eps, budget, check);
+        assert_eq!(report.steps, expected.steps);
+        assert_eq!(report.converged, expected.converged);
+        assert_eq!(report.potential.to_bits(), expected.potential.to_bits());
+    }
 }
 
 #[test]
