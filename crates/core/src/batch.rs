@@ -55,9 +55,10 @@ use crate::error::CoreError;
 use crate::kernel::{
     count_discordant_edges, repeat_rows, retire_all, run_block_parallel, run_steps,
     run_voter_steps, slice_average, slice_potential_and_mean, slice_potential_pi,
-    slice_weighted_average, swap_rows, validate_values, AveragingRows, BlockCheck, BlockOutcome,
-    Discord, KernelSpec, PotentialTracker, RetiringRows, Unchecked, VoterRows,
+    slice_weighted_average, swap_rows, validate_opinions, validate_values, AveragingRows,
+    BlockCheck, BlockOutcome, Discord, KernelSpec, RetiringRows, Unchecked, VoterRows,
 };
+use crate::state::PotentialTracker;
 use crate::voter::VoterReport;
 use od_graph::{Graph, NodeId};
 use rand::rngs::StdRng;
@@ -505,7 +506,9 @@ impl<'g> VoterBatch<'g> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    /// As [`crate::VoterModel::new`]: [`CoreError::DirectedUnsupported`],
+    /// [`CoreError::WeightedUnsupported`], [`CoreError::Disconnected`] or
+    /// [`CoreError::LengthMismatch`].
     pub fn new(graph: &'g Graph, opinions0: &[u32], seeds: &[u64]) -> Result<Self, CoreError> {
         VoterBatch::with_topology(Topology::from(graph), opinions0, seeds)
     }
@@ -515,7 +518,7 @@ impl<'g> VoterBatch<'g> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    /// As [`VoterBatch::new`].
     pub fn with_topology(
         topology: Topology<'g>,
         opinions0: &[u32],
@@ -530,7 +533,7 @@ impl<'g> VoterBatch<'g> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    /// As [`VoterBatch::new`].
     pub fn with_topology_threads(
         topology: Topology<'g>,
         opinions0: &[u32],
@@ -538,24 +541,7 @@ impl<'g> VoterBatch<'g> {
         threads: usize,
     ) -> Result<Self, CoreError> {
         let graph = topology.graph();
-        if graph.is_directed() {
-            return Err(CoreError::DirectedUnsupported);
-        }
-        if graph.is_weighted() {
-            // Same restriction as [`crate::VoterModel::new`]: the voter
-            // kernels sample edges uniformly, which has no weighted
-            // reading compatible with the duality suite.
-            return Err(CoreError::WeightedUnsupported { tier: "voter" });
-        }
-        if !graph.is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions0.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions0.len(),
-                nodes: graph.n(),
-            });
-        }
+        validate_opinions(graph, opinions0)?;
         // All replicas start identical, so one O(m) scan seeds every
         // replica's incremental discordant-edge counter.
         let discord0 = count_discordant_edges(graph, opinions0);
@@ -1519,5 +1505,50 @@ mod tests {
         assert!(VoterBatch::new(&g, &[0; 3], &[1]).is_err());
         let disconnected = od_graph::Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(VoterBatch::new(&disconnected, &[0; 4], &[1]).is_err());
+    }
+
+    #[test]
+    fn voter_constructors_share_one_admission_check() {
+        use crate::VoterKernel;
+        use od_graph::Graph;
+        let cycle4 = [(0, 1), (1, 2), (2, 3), (3, 0)];
+        let weighted = Graph::from_weighted_edges(4, &cycle4.map(|(u, v)| (u, v, 2.0))).unwrap();
+        let directed = Graph::from_directed_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
+        let disconnected = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
+        let one_node = Graph::from_edges(1, &[]).unwrap();
+        let cycle = generators::cycle(4).unwrap();
+        let cases: [(&Graph, usize, CoreError); 5] = [
+            (
+                &weighted,
+                4,
+                CoreError::WeightedUnsupported { tier: "voter" },
+            ),
+            (&directed, 3, CoreError::DirectedUnsupported),
+            (&disconnected, 4, CoreError::Disconnected),
+            (&one_node, 1, CoreError::Disconnected),
+            (
+                &cycle,
+                3,
+                CoreError::LengthMismatch {
+                    values: 3,
+                    nodes: 4,
+                },
+            ),
+        ];
+        for (graph, len, expected) in cases {
+            let opinions = vec![0u32; len];
+            assert_eq!(
+                VoterModel::new(graph, opinions.clone()).err(),
+                Some(expected.clone())
+            );
+            assert_eq!(
+                VoterKernel::new(graph, opinions.clone()).err(),
+                Some(expected.clone())
+            );
+            assert_eq!(
+                VoterBatch::new(graph, &opinions, &[1]).err(),
+                Some(expected)
+            );
+        }
     }
 }

@@ -138,8 +138,8 @@ pub enum PotentialKind {
     #[default]
     Pi,
     /// `φ̄_V(ξ)` with uniform weights (Prop. D.1). Under
-    /// [`StopRule::Exact`] the tracker mirrors
-    /// [`crate::OpinionState::potential_uniform`] bit for bit, so batched
+    /// [`StopRule::Exact`] each replica steps the uniform-arm tracker
+    /// behind [`crate::OpinionState::potential_uniform`], so batched
     /// stopping times equal the scalar `potential_uniform`-loop exactly.
     /// The reported `weighted_average` is then the plain average `Avg(T)`
     /// (the EdgeModel's `F` estimate, Prop. D.1(i)).
@@ -154,8 +154,8 @@ pub enum StopRule {
     /// granular (multiples of `check_every`), like
     /// [`run_kernel_until_converged`].
     Block,
-    /// Check `φ` before every step via an incrementally tracked potential
-    /// that mirrors [`crate::OpinionState`]'s arithmetic bit for bit.
+    /// Check `φ` before every step via the incrementally tracked
+    /// potential that [`crate::OpinionState`] keeps, one per replica.
     /// Stopping times equal the scalar [`run_until_converged`] rule
     /// exactly (gated in `tests/batch_equivalence.rs`); the inner loop
     /// pays ~a handful of extra flops per step for the tracking.

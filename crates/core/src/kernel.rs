@@ -51,7 +51,7 @@ use crate::engine::{ConvergeConfig, PotentialKind, StopRule};
 use crate::error::CoreError;
 use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
-use crate::state::REFRESH_INTERVAL;
+use crate::state::PotentialTracker;
 use od_graph::{Graph, NodeId, MIN_SPLIT_WORK};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -122,6 +122,31 @@ pub(crate) fn validate_values(graph: &Graph, values: &[f64]) -> Result<(), CoreE
     }
     if let Some(index) = values.iter().position(|v| !v.is_finite()) {
         return Err(CoreError::NonFiniteValue { index });
+    }
+    Ok(())
+}
+
+/// Validates an initial opinion vector against a graph: the one admission
+/// check of [`crate::VoterModel::new`], [`VoterKernel::new`] and
+/// [`crate::VoterBatch`], in the order directed, weighted, connected
+/// with `n ≥ 2`, length.
+pub(crate) fn validate_opinions(graph: &Graph, opinions: &[u32]) -> Result<(), CoreError> {
+    if graph.is_directed() {
+        return Err(CoreError::DirectedUnsupported);
+    }
+    if graph.is_weighted() {
+        // The voter duality results live on uniform edge sampling;
+        // weight-proportional adoption is a different process.
+        return Err(CoreError::WeightedUnsupported { tier: "voter" });
+    }
+    if !graph.is_connected() || graph.n() < 2 {
+        return Err(CoreError::Disconnected);
+    }
+    if opinions.len() != graph.n() {
+        return Err(CoreError::LengthMismatch {
+            values: opinions.len(),
+            nodes: graph.n(),
+        });
     }
     Ok(())
 }
@@ -241,7 +266,7 @@ pub(crate) struct Tracked<'a> {
 impl StepCheck for Tracked<'_> {
     #[inline]
     fn stop(&self) -> bool {
-        self.tracker.potential_pi() <= self.epsilon
+        self.tracker.potential() <= self.epsilon
     }
 
     #[inline]
@@ -488,182 +513,6 @@ pub(crate) fn slice_potential_uniform_and_mean(values: &[f64]) -> (f64, f64) {
     (phi, mu)
 }
 
-/// Incrementally maintained potential for the tracked convergence path,
-/// mirroring [`crate::OpinionState`]'s arithmetic **expression for
-/// expression**: the same construction-time gauge (the π-weighted mean of
-/// the values at tracking start — also for the uniform arm, exactly as
-/// `OpinionState` centers all four running sums at one gauge), the same
-/// `set_value` update formulas, the same [`REFRESH_INTERVAL`] drift
-/// refresh, and the same clamp at 0.
-///
-/// The tracker is weight-generic ([`PotentialKind`]): the π arm mirrors
-/// `OpinionState::potential_pi`, the uniform arm mirrors
-/// `OpinionState::potential_uniform` (Prop. D.1's `φ̄_V`). Because every
-/// float operation matches, a kernel run driven by the tracked stopping
-/// rule ([`crate::StopRule::Exact`]) stops at **exactly** the step a
-/// scalar [`run_until_converged`] run (or `potential_uniform` loop) from
-/// the same state and seed would — the property the convergence
-/// equivalence gates in `tests/batch_equivalence.rs` pin.
-///
-/// [`run_until_converged`]: crate::run_until_converged
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PotentialTracker {
-    kind: PotentialKind,
-    /// `n` as f64, the cross-term normaliser of the uniform arm.
-    n: f64,
-    /// Centering offset: the π-weighted mean at tracking start (fixed,
-    /// like `OpinionState`'s construction-time gauge — both arms).
-    gauge: f64,
-    /// π arm: Σ π_u (ξ_u − gauge). Uniform arm: Σ (ξ_u − gauge).
-    weighted_sum_c: f64,
-    /// π arm: Σ π_u (ξ_u − gauge)². Uniform arm: Σ (ξ_u − gauge)².
-    weighted_sq_sum_c: f64,
-    updates_since_refresh: u64,
-}
-
-impl PotentialTracker {
-    /// Starts tracking `values` (mirrors `OpinionState::new` +
-    /// `refresh_sums`). `pi` is always the stationary distribution — the
-    /// uniform arm still uses it for the gauge, exactly as `OpinionState`
-    /// centers its plain sums at the π-weighted mean.
-    pub(crate) fn new(pi: &[f64], values: &[f64], kind: PotentialKind) -> Self {
-        let gauge = pi.iter().zip(values).map(|(w, v)| w * v).sum();
-        let mut tracker = PotentialTracker {
-            kind,
-            n: values.len() as f64,
-            gauge,
-            weighted_sum_c: 0.0,
-            weighted_sq_sum_c: 0.0,
-            updates_since_refresh: 0,
-        };
-        tracker.refresh(pi, values);
-        tracker
-    }
-
-    /// Recomputes the running sums from scratch (mirrors
-    /// `OpinionState::refresh_sums`; the gauge stays fixed).
-    fn refresh(&mut self, pi: &[f64], values: &[f64]) {
-        self.weighted_sum_c = 0.0;
-        self.weighted_sq_sum_c = 0.0;
-        match self.kind {
-            PotentialKind::Pi => {
-                for (v, w) in values.iter().zip(pi) {
-                    let c = v - self.gauge;
-                    self.weighted_sum_c += w * c;
-                    self.weighted_sq_sum_c += w * c * c;
-                }
-            }
-            PotentialKind::Uniform => {
-                for v in values {
-                    let c = v - self.gauge;
-                    self.weighted_sum_c += c;
-                    self.weighted_sq_sum_c += c * c;
-                }
-            }
-        }
-        self.updates_since_refresh = 0;
-    }
-
-    /// Records `ξ_u: old → new` with weight `w = π_u` in O(1) (mirrors
-    /// `OpinionState::set_value`; the uniform arm mirrors the plain sums,
-    /// which ignore `w`). The caller refreshes via
-    /// [`PotentialTracker::maybe_refresh`] after the value write.
-    #[inline]
-    fn record(&mut self, w: f64, old: f64, new: f64) {
-        let old_c = old - self.gauge;
-        let new_c = new - self.gauge;
-        match self.kind {
-            PotentialKind::Pi => {
-                self.weighted_sum_c += w * (new_c - old_c);
-                self.weighted_sq_sum_c += w * (new_c * new_c - old_c * old_c);
-            }
-            PotentialKind::Uniform => {
-                self.weighted_sum_c += new_c - old_c;
-                self.weighted_sq_sum_c += new_c * new_c - old_c * old_c;
-            }
-        }
-        self.updates_since_refresh += 1;
-    }
-
-    /// Refreshes the sums when the drift interval elapsed (mirrors the
-    /// refresh embedded in `OpinionState::set_value`).
-    #[inline]
-    fn maybe_refresh(&mut self, pi: &[f64], values: &[f64]) {
-        if self.updates_since_refresh >= REFRESH_INTERVAL {
-            self.refresh(pi, values);
-        }
-    }
-
-    /// The tracked potential, clamped at 0: `φ` (mirrors
-    /// `OpinionState::potential_pi`) or `φ̄_V` (mirrors
-    /// `OpinionState::potential_uniform`), by construction kind.
-    #[inline]
-    pub(crate) fn potential_pi(&self) -> f64 {
-        match self.kind {
-            PotentialKind::Pi => {
-                (self.weighted_sq_sum_c - self.weighted_sum_c * self.weighted_sum_c).max(0.0)
-            }
-            PotentialKind::Uniform => (self.weighted_sq_sum_c
-                - self.weighted_sum_c * self.weighted_sum_c / self.n)
-                .max(0.0),
-        }
-    }
-
-    /// The `F` estimate carried through reports: `M(t) = Σ π_u ξ_u(t)`
-    /// on the π arm (mirrors `OpinionState::weighted_average`, so an
-    /// exact-mode `F` estimate is bit-identical to the scalar
-    /// `estimate_convergence_value` path), `Avg(t)` on the uniform arm
-    /// (mirrors `OpinionState::average` — the EdgeModel's `F` estimate,
-    /// Prop. D.1(i)).
-    #[inline]
-    pub(crate) fn weighted_average(&self) -> f64 {
-        match self.kind {
-            PotentialKind::Pi => self.weighted_sum_c + self.gauge,
-            PotentialKind::Uniform => self.weighted_sum_c / self.n + self.gauge,
-        }
-    }
-
-    /// The raw running state, for window checkpointing
-    /// ([`crate::ConvergeWindow`]). The incremental sums must be restored
-    /// bit-for-bit: a tracker rebuilt from the current values via
-    /// [`PotentialTracker::new`] would pick a fresh gauge and drop the
-    /// accumulated drift, so its stopping decisions would not reproduce
-    /// the uninterrupted run.
-    pub(crate) fn state(&self) -> TrackerState {
-        TrackerState {
-            gauge: self.gauge,
-            weighted_sum_c: self.weighted_sum_c,
-            weighted_sq_sum_c: self.weighted_sq_sum_c,
-            updates_since_refresh: self.updates_since_refresh,
-        }
-    }
-
-    /// Rebuilds a tracker from a captured [`TrackerState`]. `n` is the
-    /// replica's node count (the uniform arm's cross-term normaliser).
-    // od-lint: allow(D3) — defines PotentialTracker::from_state (checkpoint restore of a scalar tracker), not an RNG constructor
-    pub(crate) fn from_state(kind: PotentialKind, n: usize, state: TrackerState) -> Self {
-        PotentialTracker {
-            kind,
-            n: n as f64,
-            gauge: state.gauge,
-            weighted_sum_c: state.weighted_sum_c,
-            weighted_sq_sum_c: state.weighted_sq_sum_c,
-            updates_since_refresh: state.updates_since_refresh,
-        }
-    }
-}
-
-/// The serialisable portion of a [`PotentialTracker`] (everything except
-/// `kind` and `n`, which the restoring window re-derives from its own
-/// configuration).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct TrackerState {
-    pub(crate) gauge: f64,
-    pub(crate) weighted_sum_c: f64,
-    pub(crate) weighted_sq_sum_c: f64,
-    pub(crate) updates_since_refresh: u64,
-}
-
 /// Outcome of stepping one slot through one block.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct BlockOutcome {
@@ -675,8 +524,8 @@ pub(crate) struct BlockOutcome {
     /// and for voter rows).
     pub potential: f64,
     /// `M(t) = Σ π_u ξ_u(t)` after the last step taken — the `F` estimate
-    /// when converged. Tracker-based under [`BlockCheck::Tracked`]
-    /// (bit-identical to `OpinionState::weighted_average`), the fused
+    /// when converged. The tracker's mean under [`BlockCheck::Tracked`]
+    /// (the arithmetic of `OpinionState::weighted_average`), the fused
     /// first pass of the `φ` evaluation under [`BlockCheck::Boundary`],
     /// `NaN` under [`BlockCheck::None`] and for voter rows.
     pub weighted_average: f64,
@@ -858,8 +707,8 @@ impl BlockRows for AveragingRows<'_> {
                     trackers[slot] = check.tracker;
                     BlockOutcome {
                         steps,
-                        potential: check.tracker.potential_pi(),
-                        weighted_average: check.tracker.weighted_average(),
+                        potential: check.tracker.potential(),
+                        weighted_average: check.tracker.mean(),
                         converged,
                     }
                 }
@@ -1392,21 +1241,16 @@ pub struct VoterKernel<'g> {
 }
 
 impl<'g> VoterKernel<'g> {
-    /// Creates a voter kernel on a connected graph.
+    /// Creates a voter kernel on a connected, undirected, unweighted
+    /// graph.
     ///
     /// # Errors
     ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    /// [`CoreError::DirectedUnsupported`],
+    /// [`CoreError::WeightedUnsupported`], [`CoreError::Disconnected`] or
+    /// [`CoreError::LengthMismatch`].
     pub fn new(graph: &'g Graph, opinions: Vec<u32>) -> Result<Self, CoreError> {
-        if !graph.is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions.len(),
-                nodes: graph.n(),
-            });
-        }
+        validate_opinions(graph, &opinions)?;
         Ok(VoterKernel {
             graph,
             opinions,

@@ -1,4 +1,5 @@
 use crate::error::CoreError;
+use crate::kernel::validate_opinions;
 use od_graph::{Graph, NodeId};
 use rand::{Rng, RngCore};
 
@@ -41,27 +42,13 @@ impl<'g> VoterModel<'g> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::Disconnected`] or [`CoreError::LengthMismatch`].
+    /// [`CoreError::DirectedUnsupported`],
+    /// [`CoreError::WeightedUnsupported`], [`CoreError::Disconnected`] or
+    /// [`CoreError::LengthMismatch`].
     // Invariant-backed: the `expect` messages state why each cannot fire.
     #[allow(clippy::expect_used)]
     pub fn new(graph: &'g Graph, opinions: Vec<u32>) -> Result<Self, CoreError> {
-        if graph.is_directed() {
-            return Err(CoreError::DirectedUnsupported);
-        }
-        if graph.is_weighted() {
-            // The voter duality results live on uniform edge sampling;
-            // weight-proportional adoption is a different process.
-            return Err(CoreError::WeightedUnsupported { tier: "voter" });
-        }
-        if !graph.is_connected() || graph.n() < 2 {
-            return Err(CoreError::Disconnected);
-        }
-        if opinions.len() != graph.n() {
-            return Err(CoreError::LengthMismatch {
-                values: opinions.len(),
-                nodes: graph.n(),
-            });
-        }
+        validate_opinions(graph, &opinions)?;
         let max_op = *opinions.iter().max().expect("non-empty") as usize;
         let mut counts = vec![0u64; max_op + 1];
         for &op in &opinions {

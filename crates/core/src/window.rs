@@ -34,9 +34,8 @@ use rand::SeedableRng;
 use crate::batch::{take_spare, Averaging, ReplicaBatch, SPARE_ROWS};
 use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
-use crate::kernel::{
-    reuse_rows, BlockCheck, KernelSpec, PotentialTracker, Retirement, TrackerState,
-};
+use crate::kernel::{reuse_rows, BlockCheck, KernelSpec, Retirement};
+use crate::state::{PotentialTracker, TrackerState};
 
 /// Retirement-aware Monte-Carlo convergence sweep, advanced block round
 /// by block round: drives one trial per seed to ε-convergence (or through

@@ -138,6 +138,23 @@ fn invalid_submission_is_rejected_at_the_boundary() {
 }
 
 #[test]
+fn zero_epsilon_convergence_is_refused_and_the_daemon_keeps_serving() {
+    let server = Server::start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(&server);
+    let response = client.submit(
+        "graph cycle n=256\ninit pm_one\nmodel node alpha=0.5 k=1 lazy=false\nreplicas 2\n\
+         stop converge eps=0 rule=exact potential=pi budget=100000000\n",
+    );
+    assert!(response.starts_with("ERR "), "got: {response}");
+    assert_eq!(client.command("PING"), "PONG\n");
+    assert_eq!(stat(&client.command("STATS"), "cells_run"), 0);
+}
+
+#[test]
 fn cache_hit_is_byte_identical_with_zero_new_worker_steps() {
     let server = Server::start(ServerConfig {
         workers: 2,

@@ -828,7 +828,7 @@ pub enum StopSpec {
     },
     /// ε-convergence of the chosen potential, within a step budget.
     Converge {
-        /// The threshold ε.
+        /// The threshold ε (finite and > 0).
         epsilon: f64,
         /// Detection rule.
         rule: StopRuleSpec,
@@ -1122,8 +1122,12 @@ impl ScenarioSpec {
                 if !self.model.is_averaging() {
                     return invalid("the voter model stops on consensus, not epsilon-convergence");
                 }
-                if !epsilon.is_finite() || epsilon < 0.0 {
-                    return invalid("epsilon must be finite and non-negative");
+                // At ε = 0 rounding, not the process, decides the stop: the
+                // tracked φ of a non-constant state can round to 0.
+                // Synchronous rounds reach exact fixed points, so
+                // `fixed_point` keeps ε ≥ 0.
+                if !epsilon.is_finite() || epsilon <= 0.0 {
+                    return invalid("convergence epsilon must be finite and positive");
                 }
                 if self.churn.is_some() {
                     if rule != StopRuleSpec::Block {
@@ -1819,6 +1823,18 @@ mod tests {
             tier: TierSpec::Exact,
             output: OutputSpec::Reports,
         }
+    }
+
+    #[test]
+    fn converge_refuses_zero_epsilon_and_fixed_point_keeps_it() {
+        let zero = "graph cycle n=256\ninit pm_one\nmodel node alpha=0.5 k=1 lazy=false\n\
+                    replicas 2\nstop converge eps=0 rule=exact potential=pi budget=100000000\n";
+        assert!(matches!(
+            ScenarioSpec::parse(zero),
+            Err(SimError::Invalid(_))
+        ));
+        let sync = "graph cycle n=16\nmodel degroot lazy=0\nstop fixed_point eps=0 budget=100\n";
+        ScenarioSpec::parse(sync).unwrap();
     }
 
     #[test]

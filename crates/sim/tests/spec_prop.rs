@@ -244,6 +244,10 @@ fn rejection_catalogue() {
         // spec format must not.
         format!("{base}stop converge eps=NaN rule=exact potential=pi budget=100"),
         format!("{base}stop converge eps=inf rule=exact potential=pi budget=100"),
+        // ε = 0: rounding, not the process, would decide the stop.
+        "graph cycle n=256\ninit pm_one\nmodel node alpha=0.5 k=1 lazy=false\n\
+         stop converge eps=0 rule=exact potential=pi budget=100000000"
+            .to_string(),
         "model node alpha=NaN k=2 lazy=false\ngraph torus rows=4 cols=4\nstop steps count=10"
             .to_string(),
         format!("{base}init linear lo=NaN hi=1\nstop steps count=10"),
