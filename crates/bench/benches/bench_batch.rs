@@ -164,7 +164,10 @@ fn fixed_horizon_cells(c: &mut Criterion) {
 /// Building the two million-node CSRs of the end-to-end `big_graph`
 /// sweeps from their generators: rows written directly, no edge list.
 /// Nothing is read afterwards, so the rows time what every cell's graph
-/// costs before its first step (memoised tails are not built). The
+/// costs before its first step (memoised tails are not built). Each
+/// iteration drops its graph, which leaves its arrays as the spares the
+/// next build takes, so after the first the rows time recycled builds,
+/// as a process that runs one sweep after another sees them. The
 /// `threads2` rows fill and check the rows on two workers, as a
 /// `threads 0` sweep on a 2-vCPU box does.
 fn graph_build(c: &mut Criterion) {

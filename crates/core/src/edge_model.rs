@@ -1,4 +1,5 @@
 use crate::error::CoreError;
+use crate::kernel::averaging_update;
 use crate::params::{EdgeModelParams, Laziness};
 use crate::process::{OpinionProcess, StepRecord};
 use crate::state::OpinionState;
@@ -67,8 +68,11 @@ impl<'g> EdgeModel<'g> {
     }
 
     fn apply_update(&mut self, tail: NodeId, head: NodeId) {
-        let alpha = self.params.alpha();
-        let new = alpha * self.state.value(tail) + (1.0 - alpha) * self.state.value(head);
+        let new = averaging_update(
+            self.params.alpha(),
+            self.state.value(tail),
+            self.state.value(head),
+        );
         self.state.set_value(tail, new);
     }
 

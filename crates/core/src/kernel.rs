@@ -30,12 +30,11 @@
 //! the offsets. The slices and weights are the same either way, so the
 //! results are the same bits.
 //!
-//! Row buffers are recycled: [`repeat_rows`] fills the buffer it is
-//! handed (a dropped [`crate::ReplicaBatch`]'s spare, or an empty `Vec`)
-//! in one parallel round with no zeroing pass, resizing it through
-//! [`reuse_rows`] when its capacity holds the rows and allocating fresh,
-//! untouched pages otherwise. Every row is written before it is read, so
-//! what the spare held never reaches a result.
+//! Row buffers are recycled: [`repeat_rows`] fills the buffer it takes
+//! from a [`Spare`] (a dropped [`crate::ReplicaBatch`]'s rows when their
+//! capacity holds the new ones, else fresh, untouched pages) in one
+//! parallel round with no zeroing pass. Every row is written before it
+//! is read, so what the spare held never reaches a result.
 //!
 //! [`VoterKernel`] is the analogous fast path for the discrete voter
 //! model, whose update is likewise written once, in `run_voter_steps`,
@@ -52,7 +51,7 @@ use crate::error::CoreError;
 use crate::params::{EdgeModelParams, Laziness, NodeModelParams};
 use crate::sampling::sample_k_neighbors;
 use crate::state::PotentialTracker;
-use od_graph::{Graph, NodeId, MIN_SPLIT_WORK};
+use od_graph::{Graph, NodeId, Spare, MIN_SPLIT_WORK};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -192,11 +191,26 @@ fn weighted_sample_mean(
     }
 }
 
-/// Unweighted NodeModel aggregation: the plain mean of the sampled
-/// values (`Some` always; the signature matches [`weighted_sample_mean`]).
+/// The averaging update of both models, `ξ ← α·old + (1−α)·target`:
+/// the one expression the scalar engines and [`run_steps`] all call.
+#[inline]
+pub(crate) fn averaging_update(alpha: f64, old: f64, target: f64) -> f64 {
+    alpha * old + (1.0 - alpha) * target
+}
+
+/// The plain mean of the sampled neighbours' values, summed in sample
+/// order: the NodeModel's unweighted target, in the scalar engine and in
+/// [`run_steps`].
+#[inline]
+pub(crate) fn unweighted_mean(sample: &[NodeId], values: &[f64]) -> f64 {
+    sample.iter().map(|&v| values[v as usize]).sum::<f64>() / sample.len() as f64
+}
+
+/// Unweighted NodeModel aggregation: [`unweighted_mean`] (`Some` always;
+/// the signature matches [`weighted_sample_mean`]).
 #[inline]
 fn sample_mean(_graph: &Graph, _u: NodeId, sample: &[NodeId], values: &[f64]) -> Option<f64> {
-    Some(sample.iter().map(|&v| values[v as usize]).sum::<f64>() / sample.len() as f64)
+    Some(unweighted_mean(sample, values))
 }
 
 /// Weighted EdgeModel pull target for CSR slot `slot` (tail `t`, head
@@ -286,9 +300,10 @@ impl StepCheck for Tracked<'_> {
 /// This is the one inner loop of every batched driver — [`StepKernel`],
 /// [`crate::ReplicaBatch`] and [`crate::ConvergeWindow`] — with one loop
 /// per model ([`node_steps`], [`edge_steps`]), generic over its check.
-/// Its per-step arithmetic mirrors the scalar `NodeModel`/`EdgeModel`
-/// implementations expression-for-expression: lazy skips consume their
-/// coin flip and count against the budget, as in the scalar engine.
+/// The update and the unweighted mean are [`averaging_update`] and
+/// [`unweighted_mean`], which the scalar `NodeModel`/`EdgeModel` call
+/// too; lazy skips consume their coin flip and count against the
+/// budget, as in the scalar engine.
 ///
 /// Weighted graphs take the weighted update ([`weighted_sample_mean`] /
 /// [`weighted_pull_target`]), chosen once, outside the step loop, on
@@ -389,7 +404,7 @@ where
             continue;
         };
         let old = values[u];
-        let new = alpha * old + (1.0 - alpha) * mean;
+        let new = averaging_update(alpha, old, mean);
         values[u] = new;
         check.record(u, old, new, values);
     }
@@ -434,7 +449,7 @@ where
             continue;
         };
         let old = values[tail as usize];
-        let new = alpha * old + (1.0 - alpha) * target;
+        let new = averaging_update(alpha, old, target);
         values[tail as usize] = new;
         check.record(tail as usize, old, new, values);
     }
@@ -813,29 +828,15 @@ impl<T: Copy + Send + Sync> BlockRows for FillRows<'_, T> {
     }
 }
 
-/// `buf` resized to `len` elements if its capacity holds them, else freed
-/// and replaced by a zeroed allocation (untouched pages). A recycled
-/// buffer keeps whatever it held: callers overwrite every element before
-/// reading it.
-pub(crate) fn reuse_rows<T: Copy + Default>(mut buf: Vec<T>, len: usize) -> Vec<T> {
-    if buf.capacity() >= len {
-        buf.resize(len, T::default());
-        buf
-    } else {
-        drop(buf);
-        vec![T::default(); len]
-    }
-}
-
-/// `slots` copies of `row` in one replica-major buffer: `buf` recycled
-/// through [`reuse_rows`] (an empty `Vec` for a fresh allocation), which
+/// `slots` copies of `row` in one replica-major buffer taken from `spare`
+/// ([`Spare::take`]: the spare resized, or fresh untouched pages), which
 /// `threads` workers of the block runner fill, each its own rows, with no
 /// zeroing pass before.
-pub(crate) fn repeat_rows<T>(row: &[T], slots: usize, threads: usize, buf: Vec<T>) -> Vec<T>
+pub(crate) fn repeat_rows<T>(row: &[T], slots: usize, threads: usize, spare: &Spare<T>) -> Vec<T>
 where
     T: Copy + Default + Send + Sync,
 {
-    let mut buf = reuse_rows(buf, slots * row.len());
+    let mut buf = spare.take(slots * row.len());
     let mut outcomes = vec![BlockOutcome::default(); slots];
     run_block_parallel(
         FillRows { row, buf: &mut buf },
@@ -1450,31 +1451,38 @@ mod tests {
         let row: Vec<f64> = (0..1 << 14).map(f64::from).collect();
         let expected = row.repeat(5);
         for threads in [1, 2, 3, 8] {
-            let fresh = repeat_rows(&row, 5, threads, Vec::new());
+            let spare = Spare::new(0);
+            let fresh = repeat_rows(&row, 5, threads, &spare);
             assert_eq!(fresh, expected, "threads {threads}");
             // A dirty buffer, longer than needed or shorter with room.
             let mut short = vec![f64::NAN; 6 << 14];
             short.truncate(1 << 14);
             for dirty in [vec![-1.0; 7 << 14], short] {
-                let recycled = repeat_rows(&row, 5, threads, dirty);
+                spare.leave(dirty);
+                let recycled = repeat_rows(&row, 5, threads, &spare);
                 assert_eq!(recycled, expected, "threads {threads}");
             }
         }
-        assert!(repeat_rows(&row, 0, 2, Vec::new()).is_empty());
-        assert_eq!(repeat_rows::<u32>(&[], 3, 2, vec![7]), Vec::<u32>::new());
+        assert!(repeat_rows(&row, 0, 2, &Spare::new(0)).is_empty());
+        let spare = Spare::new(0);
+        spare.leave(vec![7u32]);
+        assert_eq!(repeat_rows::<u32>(&[], 3, 2, &spare), Vec::<u32>::new());
     }
 
     #[test]
     fn reused_rows_keep_a_big_enough_buffer_and_free_a_small_one() {
+        let spare = Spare::new(0);
         let big = vec![3.0; 100];
         let ptr = big.as_ptr();
-        let reused = reuse_rows(big, 40);
+        spare.leave(big);
+        let reused = spare.take(40);
         assert_eq!((reused.as_ptr(), reused.len()), (ptr, 40));
         // The truncated buffer still has room for 100 values.
-        let regrown = reuse_rows(reused, 100);
+        spare.leave(reused);
+        let regrown = spare.take(100);
         assert_eq!((regrown.as_ptr(), regrown.len()), (ptr, 100));
-        let small = vec![3.0; 10];
-        let fresh = reuse_rows(small, 11);
+        spare.leave(vec![3.0; 10]);
+        let fresh = spare.take(11);
         assert_eq!(fresh, vec![0.0; 11]);
     }
 

@@ -1,4 +1,5 @@
 use crate::error::CoreError;
+use crate::kernel::{averaging_update, unweighted_mean};
 use crate::params::{Laziness, NodeModelParams};
 use crate::process::{OpinionProcess, StepRecord};
 use crate::state::OpinionState;
@@ -98,15 +99,8 @@ impl<'g> NodeModel<'g> {
     /// Applies the averaging update for node `u` with the neighbours
     /// currently in `self.sample`.
     fn apply_update(&mut self, u: NodeId) {
-        let k = self.sample.len() as f64;
-        let mean = self
-            .sample
-            .iter()
-            .map(|&v| self.state.value(v))
-            .sum::<f64>()
-            / k;
-        let alpha = self.params.alpha();
-        let new = alpha * self.state.value(u) + (1.0 - alpha) * mean;
+        let mean = unweighted_mean(&self.sample, self.state.values());
+        let new = averaging_update(self.params.alpha(), self.state.value(u), mean);
         self.state.set_value(u, new);
     }
 

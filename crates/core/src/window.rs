@@ -31,10 +31,10 @@ use od_graph::Graph;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::batch::{take_spare, Averaging, ReplicaBatch, SPARE_ROWS};
+use crate::batch::{Averaging, ReplicaBatch, SPARE_ROWS};
 use crate::engine::{ConvergeConfig, ConvergenceReport, StopRule};
 use crate::error::CoreError;
-use crate::kernel::{reuse_rows, BlockCheck, KernelSpec, Retirement};
+use crate::kernel::{BlockCheck, KernelSpec, Retirement};
 use crate::state::{PotentialTracker, TrackerState};
 
 /// Retirement-aware Monte-Carlo convergence sweep, advanced block round
@@ -109,7 +109,7 @@ impl<'g> ConvergeWindow<'g> {
         let exact = config.stop == StopRule::Exact;
         // Slot rows are written on admission or restore before any read,
         // so the storage may be the spare a dropped batch left.
-        batch.values = reuse_rows(take_spare(&SPARE_ROWS, capacity * n), capacity * n);
+        batch.values = SPARE_ROWS.take(capacity * n);
         Ok(ConvergeWindow {
             batch,
             xi0: xi0.to_vec(),

@@ -1,5 +1,6 @@
 use crate::error::GraphError;
 use crate::traversal;
+use crate::{Spare, MIN_SPLIT_WORK};
 use std::sync::OnceLock;
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which keeps the
@@ -63,6 +64,14 @@ pub struct DirectedEdge {
 /// them (the shifted patch and the rebuild) reset them, except that the
 /// shifted patch carries a built tail array forward by patching it along
 /// with the rows.
+///
+/// A dropped graph leaves its neighbour and offset arrays as process-wide
+/// spares ([`crate::Spare`]; the most recent drop wins), and the next
+/// grid, torus or hypercube build takes each when its capacity holds the
+/// new array, so a process that rebuilds million-node lattices maps their
+/// pages once. Arrays below [`MIN_SPLIT_WORK`] elements neither take nor
+/// leave a spare. The row builder writes and checks every recycled slot,
+/// so what a spare held never shows.
 #[derive(Debug, Clone)]
 pub struct Graph {
     /// `offsets[u]..offsets[u+1]` indexes `u`'s neighbours. Length `n + 1`.
@@ -139,6 +148,17 @@ pub(crate) struct CsrScratch {
 /// in-place and shifted patch commits.
 pub(crate) type RowDelta = (Vec<NodeId>, Vec<NodeId>);
 
+/// Rejects a node count over the `u32::MAX` a graph holds.
+pub(crate) fn check_node_count(n: usize) -> Result<(), GraphError> {
+    if n > u32::MAX as usize {
+        return Err(GraphError::InvalidParameter(format!(
+            "graph supports at most {} nodes, got {n}",
+            u32::MAX
+        )));
+    }
+    Ok(())
+}
+
 /// The checks of one row [`Graph::from_rows`] wrote for node `u` of an
 /// `n`-node graph, in row order: the first neighbour out of range, equal
 /// to `u`, equal to or below its predecessor is the one reported.
@@ -167,6 +187,56 @@ fn check_row(u: usize, row: &[NodeId], n: usize) -> Result<(), GraphError> {
         }
     }
     Ok(())
+}
+
+/// Where [`Graph::from_rows`] takes its arrays from and how small a
+/// build runs inline: the spares for the offset and neighbour arrays
+/// (each for arrays of at least `min_work` elements) and the split
+/// cutoff in arcs.
+#[derive(Debug)]
+pub(crate) struct CsrPool {
+    min_work: u64,
+    offsets: Spare<usize>,
+    neighbors: Spare<NodeId>,
+}
+
+impl CsrPool {
+    /// An empty pool whose spares and split take arrays and builds of at
+    /// least `min_work` elements or arcs.
+    pub(crate) const fn new(min_work: u64) -> CsrPool {
+        CsrPool {
+            min_work,
+            offsets: Spare::new(min_work as usize),
+            neighbors: Spare::new(min_work as usize),
+        }
+    }
+
+    /// Leaves `graph`'s offset and neighbour arrays as the pool's spares,
+    /// leaving `graph` with none.
+    pub(crate) fn recycle(&self, graph: &mut Graph) {
+        self.offsets.leave(std::mem::take(&mut graph.offsets));
+        self.neighbors.leave(std::mem::take(&mut graph.neighbors));
+    }
+
+    /// The capacities of the `(offsets, neighbours)` spares — what the
+    /// recycling tests observe.
+    #[cfg(test)]
+    pub(crate) fn spare_capacities(&self) -> (usize, usize) {
+        (self.offsets.capacity(), self.neighbors.capacity())
+    }
+}
+
+/// The process-wide pool of the lattice generators: every dropped graph
+/// leaves its arrays here, and graphs below [`MIN_SPLIT_WORK`] nodes or
+/// arcs neither take nor leave them.
+pub(crate) static CSR_POOL: CsrPool = CsrPool::new(MIN_SPLIT_WORK);
+
+/// Leaves the offset and neighbour arrays in `CSR_POOL` for the next
+/// lattice build.
+impl Drop for Graph {
+    fn drop(&mut self) {
+        CSR_POOL.recycle(self);
+    }
 }
 
 impl Graph {
@@ -273,12 +343,7 @@ impl Graph {
         n: usize,
         arcs: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, GraphError> {
-        if n > u32::MAX as usize {
-            return Err(GraphError::InvalidParameter(format!(
-                "graph supports at most {} nodes, got {n}",
-                u32::MAX
-            )));
-        }
+        check_node_count(n)?;
         let mut rows: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
         for &(u, v, w) in arcs {
             if u as usize >= n {
@@ -415,12 +480,7 @@ impl Graph {
         edges: &[(NodeId, NodeId)],
         scratch: &mut CsrScratch,
     ) -> Result<(), GraphError> {
-        if n > u32::MAX as usize {
-            return Err(GraphError::InvalidParameter(format!(
-                "graph supports at most {} nodes, got {n}",
-                u32::MAX
-            )));
-        }
+        check_node_count(n)?;
         // Rebuild targets are always the paper's plain mode; a dynamic
         // back buffer may have held anything before being refilled.
         self.connected = OnceLock::new();
@@ -430,8 +490,16 @@ impl Graph {
         self.row_sums = None;
         self.row_maxes = None;
         self.directed = false;
+        // Every array is sized with checked arithmetic and reserved
+        // fallibly, so an oversized request is an error, not an abort.
+        let too_large = |what: &str| {
+            GraphError::InvalidParameter(format!("cannot allocate the {what} of a {n}-node graph"))
+        };
         let degree = &mut scratch.degree;
         degree.clear();
+        degree
+            .try_reserve_exact(n)
+            .map_err(|_| too_large("degrees"))?;
         degree.resize(n, 0);
         for &(u, v) in edges {
             let (uu, vv) = (u as usize, v as usize);
@@ -449,7 +517,9 @@ impl Graph {
         }
         let offsets = &mut self.offsets;
         offsets.clear();
-        offsets.reserve(n + 1);
+        n.checked_add(1)
+            .and_then(|len| offsets.try_reserve_exact(len).ok())
+            .ok_or_else(|| too_large("row offsets"))?;
         let mut acc = 0usize;
         offsets.push(0);
         for &d in degree.iter() {
@@ -458,9 +528,15 @@ impl Graph {
         }
         let cursor = &mut scratch.cursor;
         cursor.clear();
+        cursor
+            .try_reserve_exact(n)
+            .map_err(|_| too_large("row cursors"))?;
         cursor.extend_from_slice(&offsets[..n]);
         let neighbors = &mut self.neighbors;
         neighbors.clear();
+        neighbors
+            .try_reserve_exact(acc)
+            .map_err(|_| too_large("arcs"))?;
         neighbors.resize(acc, 0 as NodeId);
         for &(u, v) in edges {
             neighbors[cursor[u as usize]] = v;
@@ -581,13 +657,17 @@ impl Graph {
     /// Builds an undirected graph row by row — the one CSR row builder of
     /// the lattice generators. Row `u` has `degree(u)` slots, which
     /// `fill(u, row)` writes strictly ascending; the rows must be
-    /// symmetric. The offsets are sized with checked arithmetic and the
-    /// neighbour array is reserved fallibly, so an oversized request is
-    /// an error, not an abort. The rows are then filled and checked in
-    /// contiguous chunks of about equal arc counts on up to `threads`
-    /// scoped workers, each with at least `min_work` arcs, so below that
-    /// everything runs inline on the calling thread (generators pass
-    /// [`crate::MIN_SPLIT_WORK`]; tests pass 0 to split small graphs).
+    /// symmetric. The offsets are sized with checked arithmetic, and both
+    /// arrays are the spares a dropped graph left in `pool` when their
+    /// capacity holds the request, else reserved fallibly, so an
+    /// oversized request is an error, not an abort. The rows are then
+    /// filled and checked in contiguous chunks of about equal arc counts
+    /// on up to `threads` scoped workers, each with at least the pool's
+    /// `min_work` arcs, so below that everything runs inline on the
+    /// calling thread (generators pass [`CSR_POOL`]; tests pass a pool of
+    /// their own with the cutoff 0 to split and recycle small graphs).
+    /// Every slot of a recycled array is written by `fill` and checked
+    /// before the graph is returned, so a dirty spare never shows.
     ///
     /// The checks reject what [`Graph::from_edges`] rejects —
     /// out-of-range nodes, self loops, repeated neighbours — and any row
@@ -607,23 +687,18 @@ impl Graph {
         degree: D,
         fill: F,
         threads: usize,
-        min_work: u64,
+        pool: &CsrPool,
     ) -> Result<Graph, GraphError>
     where
         D: Fn(usize) -> usize,
         F: Fn(usize, &mut [NodeId]) + Sync,
     {
-        if n > u32::MAX as usize {
-            return Err(GraphError::InvalidParameter(format!(
-                "graph supports at most {} nodes, got {n}",
-                u32::MAX
-            )));
-        }
+        check_node_count(n)?;
         let too_large =
             |what: String| GraphError::InvalidParameter(format!("{what} for a {n}-node graph"));
-        let mut offsets = Vec::new();
-        n.checked_add(1)
-            .and_then(|len| offsets.try_reserve_exact(len).ok())
+        let mut offsets = n
+            .checked_add(1)
+            .and_then(|len| pool.offsets.try_take_empty(len).ok())
             .ok_or_else(|| too_large("cannot allocate the row offsets".into()))?;
         offsets.push(0usize);
         let mut arcs = 0usize;
@@ -633,16 +708,11 @@ impl Graph {
                 .ok_or_else(|| too_large("arc count overflows".into()))?;
             offsets.push(arcs);
         }
-        // The fallible reservation only probes that the allocator can
-        // serve the arcs; the array itself comes zeroed from the
-        // allocator, so its fresh pages are first touched, and faulted
-        // in, by the workers that fill them rather than by a serial
-        // zeroing pass.
-        Vec::<NodeId>::new()
-            .try_reserve_exact(arcs)
+        let mut neighbors = pool
+            .neighbors
+            .try_take(arcs)
             .map_err(|_| too_large(format!("cannot allocate {arcs} arcs")))?;
-        let mut neighbors: Vec<NodeId> = vec![0; arcs];
-        let workers = (arcs as u64 / min_work.max(1)).clamp(1, threads.max(1) as u64) as usize;
+        let workers = (arcs as u64 / pool.min_work.max(1)).clamp(1, threads.max(1) as u64) as usize;
         // Chunk `w` starts at the first row at or past arc `w·arcs/workers`.
         let mut bounds: Vec<usize> = (0..workers)
             .map(|w| (arcs as u128 * w as u128 / workers as u128) as usize)
@@ -676,11 +746,9 @@ impl Graph {
             }
         });
         results.into_iter().collect::<Result<(), _>>()?;
-        let graph = Graph {
-            offsets,
-            neighbors,
-            ..Graph::placeholder()
-        };
+        let mut graph = Graph::placeholder();
+        graph.offsets = offsets;
+        graph.neighbors = neighbors;
         debug_assert!(graph.check_invariants().is_ok());
         Ok(graph)
     }

@@ -13,17 +13,20 @@
 //!
 //! The lattices ([`grid2d`], [`torus`], [`hypercube`]) write their CSR
 //! rows directly, through one row builder that sizes the arrays with
-//! checked arithmetic and a fallible reservation, then fills and checks
-//! the rows in contiguous chunks. [`grid2d_threads`] and
+//! checked arithmetic, takes the arrays a dropped graph left (see
+//! [`Graph`]) or reserves fresh ones fallibly, then fills and checks the
+//! rows in contiguous chunks. [`grid2d_threads`] and
 //! [`hypercube_threads`] spend a thread budget on those chunks, inline
 //! below [`crate::MIN_SPLIT_WORK`] arcs; the plain spellings are their
-//! one-thread form. The graph is the same whatever the budget. The other
-//! families build on the calling thread.
+//! one-thread form. The graph is the same whatever the budget and
+//! whatever the recycled arrays held. The other families build on the
+//! calling thread from an edge list that is sized with checked
+//! arithmetic and reserved fallibly too, so an oversized family is a
+//! [`GraphError::InvalidParameter`], not an allocation abort.
 
 use crate::builder::GraphBuilder;
-use crate::csr::{Graph, NodeId};
+use crate::csr::{check_node_count, CsrPool, Graph, NodeId, CSR_POOL};
 use crate::error::GraphError;
-use crate::MIN_SPLIT_WORK;
 use rand::Rng;
 
 /// Records that a family is connected by construction, so neither the
@@ -35,11 +38,34 @@ fn connected(graph: Result<Graph, GraphError>) -> Result<Graph, GraphError> {
     })
 }
 
+/// An empty edge list with room for `count` edges of an `n`-node family
+/// (`None`: the count overflows). The node count is checked and the list
+/// reserved fallibly, so an oversized family is an error before it
+/// allocates anything.
+fn edge_list(
+    family: &str,
+    n: usize,
+    count: Option<usize>,
+) -> Result<Vec<(NodeId, NodeId)>, GraphError> {
+    check_node_count(n)?;
+    let mut edges = Vec::new();
+    count
+        .and_then(|count| edges.try_reserve_exact(count).ok())
+        .ok_or_else(|| {
+            GraphError::InvalidParameter(format!(
+                "{family} on {n} nodes: cannot allocate its edge list"
+            ))
+        })?;
+    Ok(edges)
+}
+
 /// Cycle `C_n` (`n >= 3`), 2-regular.
 ///
 /// # Errors
 ///
-/// [`GraphError::TooFewNodes`] if `n < 3`.
+/// [`GraphError::TooFewNodes`] if `n < 3`;
+/// [`GraphError::InvalidParameter`] if the nodes or edges are more than
+/// a graph holds or the edge list cannot be allocated.
 pub fn cycle(n: usize) -> Result<Graph, GraphError> {
     if n < 3 {
         return Err(GraphError::TooFewNodes {
@@ -48,9 +74,8 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
             minimum: 3,
         });
     }
-    let edges: Vec<_> = (0..n)
-        .map(|i| (i as NodeId, ((i + 1) % n) as NodeId))
-        .collect();
+    let mut edges = edge_list("cycle", n, Some(n))?;
+    edges.extend((0..n).map(|i| (i as NodeId, ((i + 1) % n) as NodeId)));
     connected(Graph::from_edges(n, &edges))
 }
 
@@ -58,7 +83,9 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::TooFewNodes`] if `n < 2`.
+/// [`GraphError::TooFewNodes`] if `n < 2`;
+/// [`GraphError::InvalidParameter`] if the nodes or edges are more than
+/// a graph holds or the edge list cannot be allocated.
 pub fn path(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::TooFewNodes {
@@ -67,9 +94,8 @@ pub fn path(n: usize) -> Result<Graph, GraphError> {
             minimum: 2,
         });
     }
-    let edges: Vec<_> = (0..n - 1)
-        .map(|i| (i as NodeId, (i + 1) as NodeId))
-        .collect();
+    let mut edges = edge_list("path", n, Some(n - 1))?;
+    edges.extend((0..n - 1).map(|i| (i as NodeId, (i + 1) as NodeId)));
     connected(Graph::from_edges(n, &edges))
 }
 
@@ -77,7 +103,9 @@ pub fn path(n: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::TooFewNodes`] if `n < 2`.
+/// [`GraphError::TooFewNodes`] if `n < 2`;
+/// [`GraphError::InvalidParameter`] if the nodes or edges are more than
+/// a graph holds or the edge list cannot be allocated.
 pub fn complete(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::TooFewNodes {
@@ -86,7 +114,7 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
             minimum: 2,
         });
     }
-    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
+    let mut edges = edge_list("complete", n, n.checked_mul(n - 1).map(|c| c / 2))?;
     for u in 0..n {
         for v in (u + 1)..n {
             edges.push((u as NodeId, v as NodeId));
@@ -100,7 +128,9 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::TooFewNodes`] if `n < 2`.
+/// [`GraphError::TooFewNodes`] if `n < 2`;
+/// [`GraphError::InvalidParameter`] if the nodes or edges are more than
+/// a graph holds or the edge list cannot be allocated.
 pub fn star(n: usize) -> Result<Graph, GraphError> {
     if n < 2 {
         return Err(GraphError::TooFewNodes {
@@ -109,7 +139,8 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
             minimum: 2,
         });
     }
-    let edges: Vec<_> = (1..n).map(|v| (0 as NodeId, v as NodeId)).collect();
+    let mut edges = edge_list("star", n, Some(n - 1))?;
+    edges.extend((1..n).map(|v| (0 as NodeId, v as NodeId)));
     connected(Graph::from_edges(n, &edges))
 }
 
@@ -118,20 +149,24 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::InvalidParameter`] if `a == 0` or `b == 0`.
+/// [`GraphError::InvalidParameter`] if `a == 0` or `b == 0`, or if the
+/// nodes or edges are more than a graph holds or the edge list cannot be
+/// allocated.
 pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
     if a == 0 || b == 0 {
         return Err(GraphError::InvalidParameter(format!(
             "complete_bipartite sides must be positive, got ({a}, {b})"
         )));
     }
-    let mut edges = Vec::with_capacity(a * b);
+    // Sides whose sum saturates are over the node limit too.
+    let n = a.saturating_add(b);
+    let mut edges = edge_list("complete_bipartite", n, a.checked_mul(b))?;
     for u in 0..a {
         for v in 0..b {
             edges.push((u as NodeId, (a + v) as NodeId));
         }
     }
-    connected(Graph::from_edges(a + b, &edges))
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// 2-D grid of `rows × cols` nodes. With `wrap = true` this is the torus
@@ -163,16 +198,17 @@ pub fn grid2d_threads(
     wrap: bool,
     threads: usize,
 ) -> Result<Graph, GraphError> {
-    grid_rows(rows, cols, wrap, threads, MIN_SPLIT_WORK)
+    grid_rows(rows, cols, wrap, threads, &CSR_POOL)
 }
 
-/// [`grid2d_threads`] with the row builder's split cutoff as an argument.
+/// [`grid2d_threads`] with the row builder's pool (its spares and split
+/// cutoff) as an argument.
 fn grid_rows(
     rows: usize,
     cols: usize,
     wrap: bool,
     threads: usize,
-    min_work: u64,
+    pool: &CsrPool,
 ) -> Result<Graph, GraphError> {
     let min = if wrap { 3 } else { 2 };
     if rows < min || cols < min {
@@ -245,7 +281,7 @@ fn grid_rows(
             }
         }
     };
-    connected(Graph::from_rows(n, degree, fill, threads, min_work))
+    connected(Graph::from_rows(n, degree, fill, threads, pool))
 }
 
 /// Torus shorthand: `grid2d(rows, cols, true)`.
@@ -275,12 +311,12 @@ pub fn hypercube(dim: usize) -> Result<Graph, GraphError> {
 ///
 /// See [`hypercube`].
 pub fn hypercube_threads(dim: usize, threads: usize) -> Result<Graph, GraphError> {
-    hypercube_rows(dim, threads, MIN_SPLIT_WORK)
+    hypercube_rows(dim, threads, &CSR_POOL)
 }
 
-/// [`hypercube_threads`] with the row builder's split cutoff as an
-/// argument.
-fn hypercube_rows(dim: usize, threads: usize, min_work: u64) -> Result<Graph, GraphError> {
+/// [`hypercube_threads`] with the row builder's pool (its spares and split
+/// cutoff) as an argument.
+fn hypercube_rows(dim: usize, threads: usize, pool: &CsrPool) -> Result<Graph, GraphError> {
     if dim == 0 || dim > 20 {
         return Err(GraphError::InvalidParameter(format!(
             "hypercube dimension must be in 1..=20, got {dim}"
@@ -302,7 +338,7 @@ fn hypercube_rows(dim: usize, threads: usize, min_work: u64) -> Result<Graph, Gr
             back -= 1 - set;
         }
     };
-    connected(Graph::from_rows(1 << dim, |_| dim, fill, threads, min_work))
+    connected(Graph::from_rows(1 << dim, |_| dim, fill, threads, pool))
 }
 
 /// Complete binary tree with the given number of levels (`levels >= 1`;
@@ -319,7 +355,7 @@ pub fn binary_tree(levels: usize) -> Result<Graph, GraphError> {
         )));
     }
     let n = (1usize << levels) - 1;
-    let mut edges = Vec::with_capacity(n - 1);
+    let mut edges = edge_list("binary_tree", n, Some(n - 1))?;
     for child in 1..n {
         let parent = (child - 1) / 2;
         edges.push((parent as NodeId, child as NodeId));
@@ -349,14 +385,19 @@ pub fn petersen() -> Graph {
 ///
 /// # Errors
 ///
-/// [`GraphError::InvalidParameter`] if `k < 3`.
+/// [`GraphError::InvalidParameter`] if `k < 3`, or if the
+/// nodes or edges are more than a graph holds or the edge list cannot be
+/// allocated.
 pub fn barbell(k: usize) -> Result<Graph, GraphError> {
     if k < 3 {
         return Err(GraphError::InvalidParameter(format!(
             "barbell clique size must be >= 3, got {k}"
         )));
     }
-    let mut edges = Vec::new();
+    let clique = k.checked_mul(k - 1).map(|c| c / 2);
+    let n = k.saturating_mul(2);
+    let count = clique.and_then(|c| c.checked_mul(2)?.checked_add(1));
+    let mut edges = edge_list("barbell", n, count)?;
     for u in 0..k {
         for v in (u + 1)..k {
             edges.push((u as NodeId, v as NodeId));
@@ -365,7 +406,7 @@ pub fn barbell(k: usize) -> Result<Graph, GraphError> {
     }
     // Bridge between node k-1 (first clique) and node k (second clique).
     edges.push(((k - 1) as NodeId, k as NodeId));
-    connected(Graph::from_edges(2 * k, &edges))
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Lollipop graph: `K_k` with a path of `tail` extra nodes attached
@@ -373,14 +414,18 @@ pub fn barbell(k: usize) -> Result<Graph, GraphError> {
 ///
 /// # Errors
 ///
-/// [`GraphError::InvalidParameter`] if `k < 3` or `tail == 0`.
+/// [`GraphError::InvalidParameter`] if `k < 3` or `tail == 0`, or if the
+/// nodes or edges are more than a graph holds or the edge list cannot be
+/// allocated.
 pub fn lollipop(k: usize, tail: usize) -> Result<Graph, GraphError> {
     if k < 3 || tail == 0 {
         return Err(GraphError::InvalidParameter(format!(
             "lollipop requires k >= 3 and tail >= 1, got ({k}, {tail})"
         )));
     }
-    let mut edges = Vec::new();
+    let n = k.saturating_add(tail);
+    let count = k.checked_mul(k - 1).and_then(|c| (c / 2).checked_add(tail));
+    let mut edges = edge_list("lollipop", n, count)?;
     for u in 0..k {
         for v in (u + 1)..k {
             edges.push((u as NodeId, v as NodeId));
@@ -390,7 +435,7 @@ pub fn lollipop(k: usize, tail: usize) -> Result<Graph, GraphError> {
     for i in 0..tail - 1 {
         edges.push(((k + i) as NodeId, (k + i + 1) as NodeId));
     }
-    connected(Graph::from_edges(k + tail, &edges))
+    connected(Graph::from_edges(n, &edges))
 }
 
 /// Maximum attempts for randomized generators before giving up.
@@ -771,7 +816,7 @@ mod tests {
             let reference = Graph::from_edges(n, &edges).unwrap();
             assert_eq!(hypercube(dim).unwrap(), reference, "hypercube({dim})");
             for threads in THREADS {
-                let g = hypercube_rows(dim, threads, 0).unwrap();
+                let g = hypercube_rows(dim, threads, &CsrPool::new(0)).unwrap();
                 assert_eq!(g, reference, "hypercube({dim}), {threads} threads");
                 assert_eq!(g.check_invariants(), Ok(()));
             }
@@ -787,7 +832,7 @@ mod tests {
                     let reference = Graph::from_edges(rows * cols, &edges).unwrap();
                     assert_eq!(g, reference, "grid2d({rows}, {cols}, {wrap})");
                     for threads in THREADS {
-                        let g = grid_rows(rows, cols, wrap, threads, 0).unwrap();
+                        let g = grid_rows(rows, cols, wrap, threads, &CsrPool::new(0)).unwrap();
                         assert_eq!(
                             g, reference,
                             "grid2d({rows}, {cols}, {wrap}), {threads} threads"
@@ -800,7 +845,10 @@ mod tests {
         let reference = Graph::from_edges(64 * 33, &grid_edges(64, 33, true)).unwrap();
         assert_eq!(torus(64, 33).unwrap(), reference);
         for threads in THREADS {
-            assert_eq!(grid_rows(64, 33, true, threads, 0).unwrap(), reference);
+            assert_eq!(
+                grid_rows(64, 33, true, threads, &CsrPool::new(0)).unwrap(),
+                reference
+            );
         }
     }
 
@@ -819,7 +867,7 @@ mod tests {
                     _ => &cycle,
                 });
             };
-            Graph::from_rows(8, |_| 2, fill, threads, 0)
+            Graph::from_rows(8, |_| 2, fill, threads, &CsrPool::new(0))
         };
         let self_loop7 = [0, 7];
         for threads in THREADS {
@@ -866,7 +914,133 @@ mod tests {
         too_large(torus(1 << 16, 1 << 16));
         too_large(grid2d_threads(1 << 16, 1 << 16, false, 7));
         // An arc count that overflows, on 3 rows of offsets.
-        too_large(Graph::from_rows(3, |_| usize::MAX, |_, _| (), 1, 0));
+        too_large(Graph::from_rows(
+            3,
+            |_| usize::MAX,
+            |_, _| (),
+            1,
+            &CsrPool::new(0),
+        ));
+    }
+
+    /// A lattice build on a thread budget and a pool.
+    type LatticeBuild = Box<dyn Fn(usize, &CsrPool) -> Result<Graph, GraphError>>;
+
+    /// Every lattice the row builder writes, with its `from_edges`
+    /// reference: hypercubes, tori and open grids of several sizes.
+    fn lattices() -> Vec<(String, Graph, LatticeBuild)> {
+        let mut lattices: Vec<(String, Graph, LatticeBuild)> = Vec::new();
+        for dim in [1, 3, 6, 9] {
+            let n = 1usize << dim;
+            let edges: Vec<_> = (0..n)
+                .flat_map(|u| (0..dim).map(move |b| (u, u ^ (1 << b))))
+                .filter(|&(u, v)| u < v)
+                .map(|(u, v)| (u as NodeId, v as NodeId))
+                .collect();
+            lattices.push((
+                format!("hypercube({dim})"),
+                Graph::from_edges(n, &edges).unwrap(),
+                Box::new(move |threads, pool| hypercube_rows(dim, threads, pool)),
+            ));
+        }
+        for (rows, cols) in [(3, 3), (4, 7), (9, 5), (17, 23)] {
+            for wrap in [false, true] {
+                lattices.push((
+                    format!("grid2d({rows}, {cols}, {wrap})"),
+                    Graph::from_edges(rows * cols, &grid_edges(rows, cols, wrap)).unwrap(),
+                    Box::new(move |threads, pool| grid_rows(rows, cols, wrap, threads, pool)),
+                ));
+            }
+        }
+        lattices
+    }
+
+    #[test]
+    fn lattices_built_on_a_dirty_spare_equal_fresh_builds() {
+        // Before each build, a graph of another family and a larger size
+        // is dropped into the pool, so the build takes its arrays, still
+        // holding that graph's rows and offsets.
+        let pool = CsrPool::new(0);
+        let dirty = [
+            || star(5000).unwrap(),
+            || complete_bipartite(520, 10).unwrap(),
+            || cycle(6000).unwrap(),
+        ];
+        for (name, reference, build) in lattices() {
+            for (i, threads) in THREADS.into_iter().enumerate() {
+                let mut other = dirty[i % dirty.len()]();
+                assert!(
+                    other.n() > reference.n()
+                        && other.directed_edge_count() > reference.directed_edge_count()
+                );
+                pool.recycle(&mut other);
+                let g = build(threads, &pool).unwrap();
+                assert_eq!(pool.spare_capacities(), (0, 0), "{name} took both spares");
+                assert_eq!(g, reference, "{name}, {threads} threads");
+                assert_eq!(g.check_invariants(), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn a_spare_too_small_for_a_lattice_is_freed_not_grown() {
+        let pool = CsrPool::new(0);
+        let (_, reference, build) = lattices().swap_remove(3);
+        let mut small = cycle(5).unwrap();
+        pool.recycle(&mut small);
+        assert_eq!(pool.spare_capacities(), (6, 10));
+        assert_eq!(build(2, &pool).unwrap(), reference);
+        assert_eq!(pool.spare_capacities(), (0, 0));
+    }
+
+    #[test]
+    fn graphs_below_the_cutoff_neither_take_nor_leave_a_spare() {
+        // hypercube(10): 1025 offsets and 10240 arcs, above a cutoff of
+        // 1000; torus(5, 5): 26 offsets and 100 arcs, below it.
+        let pool = CsrPool::new(1000);
+        let mut big = hypercube(10).unwrap();
+        pool.recycle(&mut big);
+        assert_eq!(pool.spare_capacities(), (1025, 10240));
+        let mut small = grid_rows(5, 5, true, 2, &pool).unwrap();
+        assert_eq!(small, torus(5, 5).unwrap());
+        assert_eq!(pool.spare_capacities(), (1025, 10240));
+        pool.recycle(&mut small);
+        assert_eq!(pool.spare_capacities(), (1025, 10240));
+        // A graph at the cutoff takes both.
+        let g = grid_rows(25, 40, true, 2, &pool).unwrap();
+        assert_eq!(g, torus(25, 40).unwrap());
+        assert_eq!(pool.spare_capacities(), (0, 0));
+    }
+
+    #[test]
+    fn a_dropped_graph_leaves_its_arrays_for_the_next_lattice() {
+        // Through the process-wide pool: above the cutoff, a dropped
+        // hypercube's arrays hold the next torus. Tests sharing this
+        // binary may take the spare first; the torus is the same either
+        // way.
+        drop(hypercube(16).unwrap());
+        let reference = Graph::from_edges(256 * 256, &grid_edges(256, 256, true)).unwrap();
+        assert_eq!(grid2d_threads(256, 256, true, 2).unwrap(), reference);
+    }
+
+    #[test]
+    fn oversized_edge_lists_are_rejected_before_allocating() {
+        let too_large = |g: Result<Graph, GraphError>| {
+            assert!(matches!(g, Err(GraphError::InvalidParameter(_))), "{g:?}");
+        };
+        // About 2⁶³ edges of 8 bytes: over `isize::MAX` bytes.
+        too_large(complete(u32::MAX as usize));
+        // One node more than a graph holds.
+        too_large(complete(u32::MAX as usize + 1));
+        too_large(cycle(1 << 40));
+        too_large(path(1 << 40));
+        too_large(star(1 << 40));
+        // Two 2³¹ sides: 2³² nodes and 2⁶² edges of 8 bytes.
+        too_large(complete_bipartite(1 << 31, 1 << 31));
+        too_large(complete_bipartite(usize::MAX, 2));
+        too_large(barbell(usize::MAX));
+        too_large(lollipop(1 << 33, usize::MAX));
+        too_large(Graph::from_edges(u32::MAX as usize + 1, &[]));
     }
 
     #[test]
