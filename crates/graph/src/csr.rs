@@ -1,6 +1,7 @@
 use crate::error::GraphError;
 use crate::traversal;
 use crate::{Spare, MIN_SPLIT_WORK};
+use std::collections::TryReserveError;
 use std::sync::OnceLock;
 
 /// Node identifier. Graphs are limited to `u32::MAX` nodes, which keeps the
@@ -39,6 +40,16 @@ pub struct DirectedEdge {
 /// * neighbour lists are sorted, enabling `O(log d)` adjacency queries;
 /// * every endpoint is `< n`;
 /// * undirected mode: adjacency (and any weights) are symmetric.
+///
+/// Two builders write the arrays, both reserving fallibly, so an
+/// oversized graph is a [`GraphError`], not an abort. Every arc list (the
+/// edge-list constructors and generators, [`Graph::attach_weights`], the
+/// [`crate::DynamicGraph`] rebuild) takes one counting scatter and
+/// per-row sort; grid, torus and hypercube rows take one parallel row
+/// builder. An arc list with several faults reports, for every shape,
+/// the first arc in list order with a bad endpoint, self loop or bad
+/// weight, else the first row repeating a head, else the first all-zero
+/// weight row.
 ///
 /// Connectivity is *not* an invariant — generators return connected graphs,
 /// but [`Graph::from_edges`] accepts disconnected inputs so that traversal
@@ -134,13 +145,50 @@ impl PartialEq for Graph {
 // value and the `Eq` contract holds.
 impl Eq for Graph {}
 
-/// Reusable scratch for [`Graph::assign_from_edges`] rebuilds (per-node
-/// degree counts and row-fill cursors). Owned by `DynamicGraph` so
-/// repeated rebuilds allocate nothing once the buffers have warmed up.
+/// Reusable scratch for [`Graph::assign_arcs`]: the per-node degree
+/// counts, which then serve as the row-fill cursors. `DynamicGraph` owns
+/// one, so its rebuilds reuse it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CsrScratch {
     degree: Vec<usize>,
-    cursor: Vec<usize>,
+}
+
+/// One entry of an arc list as [`Graph::assign_arcs`] reads it: a plain
+/// `(tail, head)` pair, or a `(tail, head, weight)` triple whose graph
+/// carries a weight array.
+pub(crate) trait ArcEntry: Copy {
+    /// Whether the entries carry weights.
+    const WEIGHTED: bool;
+    /// `(tail, head, weight)`; a plain entry weighs `1.0`.
+    fn parts(self) -> (NodeId, NodeId, f64);
+}
+
+impl ArcEntry for (NodeId, NodeId) {
+    const WEIGHTED: bool = false;
+    fn parts(self) -> (NodeId, NodeId, f64) {
+        (self.0, self.1, 1.0)
+    }
+}
+
+impl ArcEntry for (NodeId, NodeId, f64) {
+    const WEIGHTED: bool = true;
+    fn parts(self) -> (NodeId, NodeId, f64) {
+        self
+    }
+}
+
+/// The error for an array of an `n`-node graph that cannot be allocated.
+fn too_large(what: &str, n: usize) -> GraphError {
+    GraphError::InvalidParameter(format!("cannot allocate the {what} of a {n}-node graph"))
+}
+
+/// Clears `buf` and fills it with `len` copies of `value`, reserving
+/// fallibly.
+fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, value: T) -> Result<(), TryReserveError> {
+    buf.clear();
+    buf.try_reserve_exact(len)?;
+    buf.resize(len, value);
+    Ok(())
 }
 
 /// One node's staged row change, `(removed targets, added targets)` —
@@ -250,7 +298,8 @@ impl Graph {
     /// Returns [`GraphError::InvalidNode`] if an endpoint is `>= n`,
     /// [`GraphError::SelfLoop`] on `u == v`, and
     /// [`GraphError::DuplicateEdge`] if the same undirected edge appears
-    /// twice.
+    /// twice; [`GraphError::InvalidParameter`] for more than `u32::MAX`
+    /// nodes or arrays that cannot be allocated.
     ///
     /// # Example
     ///
@@ -262,9 +311,7 @@ impl Graph {
     /// # Ok::<(), od_graph::GraphError>(())
     /// ```
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let mut graph = Graph::placeholder();
-        graph.assign_from_edges(n, edges, &mut CsrScratch::default())?;
-        Ok(graph)
+        Graph::from_arcs(n, edges, false)
     }
 
     /// Builds an undirected weighted graph: each `(u, v, w)` entry is one
@@ -277,37 +324,13 @@ impl Graph {
     /// [`GraphError::InvalidWeight`] for non-finite or negative weights and
     /// [`GraphError::ZeroWeightRow`] if some node's incident weights are
     /// all zero (row-normalized aggregation would be undefined there).
-    // Invariant-backed: the `expect` messages state why each cannot fire.
-    #[allow(clippy::expect_used)]
+    /// An input with several faults reports the first in the order the
+    /// [`Graph`] docs give.
     pub fn from_weighted_edges(
         n: usize,
         edges: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, GraphError> {
-        let plain: Vec<(NodeId, NodeId)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-        let mut graph = Graph::from_edges(n, &plain)?;
-        let mut weights = vec![0.0f64; graph.neighbors.len()];
-        for &(u, v, w) in edges {
-            if !w.is_finite() || w < 0.0 {
-                return Err(GraphError::InvalidWeight {
-                    u: u as u64,
-                    v: v as u64,
-                });
-            }
-            let fwd = graph.offsets[u as usize]
-                + graph
-                    .neighbors(u)
-                    .binary_search(&v)
-                    .expect("edge placed by from_edges");
-            let rev = graph.offsets[v as usize]
-                + graph
-                    .neighbors(v)
-                    .binary_search(&u)
-                    .expect("undirected adjacency is symmetric");
-            weights[fwd] = w;
-            weights[rev] = w;
-        }
-        graph.set_validated_weights(weights)?;
-        Ok(graph)
+        Graph::from_arcs(n, edges, false)
     }
 
     /// Builds a directed graph from `(tail, head)` arcs: `tail` observes
@@ -316,18 +339,11 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// [`GraphError::InvalidNode`], [`GraphError::SelfLoop`] and
-    /// [`GraphError::DuplicateEdge`] exactly as for [`Graph::from_edges`]
-    /// (duplicates are per *arc*).
+    /// [`GraphError::InvalidNode`], [`GraphError::SelfLoop`],
+    /// [`GraphError::DuplicateEdge`] and [`GraphError::InvalidParameter`]
+    /// exactly as for [`Graph::from_edges`] (duplicates are per *arc*).
     pub fn from_directed_edges(n: usize, arcs: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        let weighted: Vec<(NodeId, NodeId, f64)> = arcs.iter().map(|&(u, v)| (u, v, 1.0)).collect();
-        let mut graph = Graph::from_directed_weighted_edges(n, &weighted)?;
-        // Unit arcs carry no information: drop the weight array so kernels
-        // take their unweighted aggregation paths.
-        graph.weights = None;
-        graph.row_sums = None;
-        graph.row_maxes = None;
-        Ok(graph)
+        Graph::from_arcs(n, arcs, true)
     }
 
     /// Builds a directed weighted graph from `(tail, head, w)` arcs (the
@@ -343,45 +359,14 @@ impl Graph {
         n: usize,
         arcs: &[(NodeId, NodeId, f64)],
     ) -> Result<Self, GraphError> {
-        check_node_count(n)?;
-        let mut rows: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for &(u, v, w) in arcs {
-            if u as usize >= n {
-                return Err(GraphError::InvalidNode { node: u as u64, n });
-            }
-            if v as usize >= n {
-                return Err(GraphError::InvalidNode { node: v as u64, n });
-            }
-            if u == v {
-                return Err(GraphError::SelfLoop { node: u as u64 });
-            }
-            if !w.is_finite() || w < 0.0 {
-                return Err(GraphError::InvalidWeight {
-                    u: u as u64,
-                    v: v as u64,
-                });
-            }
-            rows[u as usize].push((v, w));
-        }
+        Graph::from_arcs(n, arcs, true)
+    }
+
+    /// A fresh graph from one arc list — the body of the four edge-list
+    /// constructors.
+    fn from_arcs<A: ArcEntry>(n: usize, arcs: &[A], directed: bool) -> Result<Self, GraphError> {
         let mut graph = Graph::placeholder();
-        graph.directed = true;
-        graph.offsets.reserve(n);
-        for (u, row) in rows.iter_mut().enumerate() {
-            row.sort_unstable_by_key(|&(v, _)| v);
-            if let Some(pair) = row.windows(2).find(|p| p[0].0 == p[1].0) {
-                return Err(GraphError::DuplicateEdge {
-                    u: u as u64,
-                    v: pair[0].0 as u64,
-                });
-            }
-            graph.neighbors.extend(row.iter().map(|&(v, _)| v));
-            graph.offsets.push(graph.neighbors.len());
-        }
-        let weights: Vec<f64> = rows
-            .iter()
-            .flat_map(|row| row.iter().map(|&(_, w)| w))
-            .collect();
-        graph.set_validated_weights(weights)?;
+        graph.assign_arcs(n, arcs, directed, &mut CsrScratch::default())?;
         Ok(graph)
     }
 
@@ -391,13 +376,17 @@ impl Graph {
     /// undirected symmetry invariant. This is how generated topologies
     /// become weighted (the `weights uniform` scenario spelling).
     ///
+    /// The weights go through the arc-list builder on a scratch graph. In
+    /// [`Graph::edges`] order its cursors fill each row with the lower
+    /// neighbours, then the upper ones, so its rows arrive sorted in this
+    /// graph's slots. Only its weight arrays are kept; on error nothing
+    /// changes.
+    ///
     /// # Errors
     ///
     /// [`GraphError::InvalidParameter`] if the graph is directed or
     /// `per_edge.len() != m`; [`GraphError::InvalidWeight`] /
     /// [`GraphError::ZeroWeightRow`] for invalid weights.
-    // Invariant-backed: the `expect` messages state why each cannot fire.
-    #[allow(clippy::expect_used)]
     pub fn attach_weights(&mut self, per_edge: &[f64]) -> Result<(), GraphError> {
         if self.directed {
             return Err(GraphError::InvalidParameter(
@@ -413,47 +402,37 @@ impl Graph {
                 self.m()
             )));
         }
-        let mut weights = vec![0.0f64; self.neighbors.len()];
-        for ((u, v), &w) in self.edges().zip(per_edge.iter()) {
-            if !w.is_finite() || w < 0.0 {
-                return Err(GraphError::InvalidWeight {
-                    u: u as u64,
-                    v: v as u64,
-                });
-            }
-            let fwd = self.offsets[u as usize]
-                + self
-                    .neighbors(u)
-                    .binary_search(&v)
-                    .expect("edges() yields existing edges");
-            let rev = self.offsets[v as usize]
-                + self
-                    .neighbors(v)
-                    .binary_search(&u)
-                    .expect("undirected adjacency is symmetric");
-            weights[fwd] = w;
-            weights[rev] = w;
-        }
-        self.set_validated_weights(weights)
+        let mut arcs = Vec::new();
+        arcs.try_reserve_exact(per_edge.len())
+            .map_err(|_| too_large("edge list", self.n()))?;
+        arcs.extend(self.edges().zip(per_edge).map(|((u, v), &w)| (u, v, w)));
+        let mut weighted = Graph::placeholder();
+        weighted.assign_arcs(self.n(), &arcs, false, &mut CsrScratch::default())?;
+        debug_assert!(weighted.offsets == self.offsets && weighted.neighbors == self.neighbors);
+        self.weights = weighted.weights.take();
+        self.row_sums = weighted.row_sums.take();
+        self.row_maxes = weighted.row_maxes.take();
+        Ok(())
     }
 
     /// Installs a per-slot weight array whose entries are already known
     /// finite and non-negative, rejecting all-zero rows and caching the
-    /// per-row sums.
+    /// per-row sums and maxima.
     fn set_validated_weights(&mut self, weights: Vec<f64>) -> Result<(), GraphError> {
         debug_assert_eq!(weights.len(), self.neighbors.len());
         let n = self.n();
-        let mut row_sums = Vec::with_capacity(n);
-        let mut row_maxes = Vec::with_capacity(n);
+        let (mut row_sums, mut row_maxes) = (Vec::new(), Vec::new());
+        refill(&mut row_sums, n, 0.0)
+            .and_then(|()| refill(&mut row_maxes, n, 0.0))
+            .map_err(|_| too_large("row sums", n))?;
         for u in 0..n {
             let row = &weights[self.offsets[u]..self.offsets[u + 1]];
-            let sum: f64 = row.iter().sum();
             // od-lint: allow(F1) — exact sentinel: rejects rows whose weights are all literally 0.0
             if !row.is_empty() && row.iter().all(|&w| w == 0.0) {
                 return Err(GraphError::ZeroWeightRow { node: u as u64 });
             }
-            row_sums.push(sum);
-            row_maxes.push(row.iter().copied().fold(0.0f64, f64::max));
+            row_sums[u] = row.iter().sum();
+            row_maxes[u] = row.iter().copied().fold(0.0f64, f64::max);
         }
         self.weights = Some(weights);
         self.row_sums = Some(row_sums);
@@ -461,98 +440,120 @@ impl Graph {
         Ok(())
     }
 
-    /// Rebuilds this graph in place from an undirected edge list, reusing
-    /// the existing CSR allocations (and the caller-owned `scratch`)
-    /// where capacity permits. This is the back-buffer refill path of
-    /// [`crate::DynamicGraph`]: a dynamic graph swaps its spare buffer in
-    /// and refills it here, so steady-state topology rebuilds allocate
-    /// nothing once the buffers have warmed up.
+    /// The one arc-list builder: rebuilds this graph in place from `arcs`
+    /// on `n` nodes — undirected edges stored on both rows, or arcs on
+    /// their tail's row when `directed` — reusing the existing CSR
+    /// allocations (and the caller-owned `scratch`) where capacity
+    /// permits, so the steady-state [`crate::DynamicGraph`] rebuilds
+    /// allocate nothing once the buffers have warmed up.
+    ///
+    /// One pass over `arcs` checks them and counts the degrees, the next
+    /// scatters each head (and weight) through its row's cursor. Each row
+    /// is then sorted — a plain row as a bare `NodeId` slice, a weighted
+    /// row out of order carrying its weights with its heads — and the
+    /// weights are installed through [`Graph::set_validated_weights`].
+    /// Every array is sized with checked arithmetic and reserved
+    /// fallibly, so an oversized request is an error, not an abort.
+    ///
+    /// Faults are reported in the order the [`Graph`] docs give (within
+    /// an arc: endpoints, self loop, weight).
     ///
     /// On error the graph is left in an unspecified but valid-to-drop
     /// state; callers must not keep using it.
-    ///
-    /// # Errors
-    ///
-    /// The same as [`Graph::from_edges`].
-    pub(crate) fn assign_from_edges(
+    pub(crate) fn assign_arcs<A: ArcEntry>(
         &mut self,
         n: usize,
-        edges: &[(NodeId, NodeId)],
+        arcs: &[A],
+        directed: bool,
         scratch: &mut CsrScratch,
     ) -> Result<(), GraphError> {
         check_node_count(n)?;
-        // Rebuild targets are always the paper's plain mode; a dynamic
-        // back buffer may have held anything before being refilled.
+        // Whatever the target held before — a dynamic back buffer may
+        // have held anything — goes.
         self.connected = OnceLock::new();
         self.min_degree = OnceLock::new();
         self.tails = OnceLock::new();
         self.weights = None;
         self.row_sums = None;
         self.row_maxes = None;
-        self.directed = false;
-        // Every array is sized with checked arithmetic and reserved
-        // fallibly, so an oversized request is an error, not an abort.
-        let too_large = |what: &str| {
-            GraphError::InvalidParameter(format!("cannot allocate the {what} of a {n}-node graph"))
-        };
+        self.directed = directed;
         let degree = &mut scratch.degree;
-        degree.clear();
-        degree
-            .try_reserve_exact(n)
-            .map_err(|_| too_large("degrees"))?;
-        degree.resize(n, 0);
-        for &(u, v) in edges {
-            let (uu, vv) = (u as usize, v as usize);
-            if uu >= n {
-                return Err(GraphError::InvalidNode { node: u as u64, n });
-            }
-            if vv >= n {
-                return Err(GraphError::InvalidNode { node: v as u64, n });
+        refill(degree, n, 0).map_err(|_| too_large("degrees", n))?;
+        for &arc in arcs {
+            let (u, v, w) = arc.parts();
+            for x in [u, v] {
+                if x as usize >= n {
+                    return Err(GraphError::InvalidNode { node: x as u64, n });
+                }
             }
             if u == v {
                 return Err(GraphError::SelfLoop { node: u as u64 });
             }
-            degree[uu] += 1;
-            degree[vv] += 1;
-        }
-        let offsets = &mut self.offsets;
-        offsets.clear();
-        n.checked_add(1)
-            .and_then(|len| offsets.try_reserve_exact(len).ok())
-            .ok_or_else(|| too_large("row offsets"))?;
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &d in degree.iter() {
-            acc += d;
-            offsets.push(acc);
-        }
-        let cursor = &mut scratch.cursor;
-        cursor.clear();
-        cursor
-            .try_reserve_exact(n)
-            .map_err(|_| too_large("row cursors"))?;
-        cursor.extend_from_slice(&offsets[..n]);
-        let neighbors = &mut self.neighbors;
-        neighbors.clear();
-        neighbors
-            .try_reserve_exact(acc)
-            .map_err(|_| too_large("arcs"))?;
-        neighbors.resize(acc, 0 as NodeId);
-        for &(u, v) in edges {
-            neighbors[cursor[u as usize]] = v;
-            cursor[u as usize] += 1;
-            neighbors[cursor[v as usize]] = u;
-            cursor[v as usize] += 1;
-        }
-        for u in 0..n {
-            let slice = &mut neighbors[offsets[u]..offsets[u + 1]];
-            slice.sort_unstable();
-            if let Some(w) = slice.windows(2).find(|w| w[0] == w[1]) {
-                return Err(GraphError::DuplicateEdge {
+            if !w.is_finite() || w < 0.0 {
+                return Err(GraphError::InvalidWeight {
                     u: u as u64,
-                    v: w[0] as u64,
+                    v: v as u64,
                 });
             }
+            degree[u as usize] += 1;
+            if !directed {
+                degree[v as usize] += 1;
+            }
+        }
+        let offsets = &mut self.offsets;
+        refill(offsets, n.saturating_add(1), 0).map_err(|_| too_large("row offsets", n))?;
+        let cursor = degree;
+        for u in 0..n {
+            offsets[u + 1] = offsets[u] + cursor[u];
+            cursor[u] = offsets[u];
+        }
+        let neighbors = &mut self.neighbors;
+        refill(neighbors, offsets[n], 0).map_err(|_| too_large("arcs", n))?;
+        let mut weights = Vec::new();
+        if A::WEIGHTED {
+            refill(&mut weights, offsets[n], 0.0).map_err(|_| too_large("weights", n))?;
+        }
+        let mut place = |tail: NodeId, head: NodeId, w: f64| {
+            let slot = &mut cursor[tail as usize];
+            neighbors[*slot] = head;
+            if A::WEIGHTED {
+                weights[*slot] = w;
+            }
+            *slot += 1;
+        };
+        for &arc in arcs {
+            let (u, v, w) = arc.parts();
+            place(u, v, w);
+            if !directed {
+                place(v, u, w);
+            }
+        }
+        let mut pairs: Vec<(NodeId, f64)> = Vec::new();
+        for u in 0..n {
+            let slots = offsets[u]..offsets[u + 1];
+            let row = &mut neighbors[slots.clone()];
+            if !A::WEIGHTED {
+                row.sort_unstable();
+            } else if !row.is_sorted() {
+                let ws = &mut weights[slots];
+                refill(&mut pairs, row.len(), (0, 0.0)).map_err(|_| too_large("row pairs", n))?;
+                for (pair, (&v, &w)) in pairs.iter_mut().zip(row.iter().zip(&*ws)) {
+                    *pair = (v, w);
+                }
+                pairs.sort_unstable_by_key(|&(v, _)| v);
+                for ((v, w), &(sv, sw)) in row.iter_mut().zip(ws).zip(&pairs) {
+                    (*v, *w) = (sv, sw);
+                }
+            }
+            if let Some(p) = row.windows(2).find(|p| p[0] == p[1]) {
+                return Err(GraphError::DuplicateEdge {
+                    u: u as u64,
+                    v: p[0] as u64,
+                });
+            }
+        }
+        if A::WEIGHTED {
+            self.set_validated_weights(weights)?;
         }
         Ok(())
     }
@@ -561,7 +562,7 @@ impl Graph {
     /// shifting the untouched CSR ranges wholesale instead of re-deriving
     /// them from the edge list. This is the small-degree-changing-delta
     /// commit path of [`crate::DynamicGraph`]: a handful of rewires used
-    /// to pay a full [`Graph::assign_from_edges`] rebuild (per-edge
+    /// to pay a full [`Graph::assign_arcs`] rebuild (per-edge
     /// scatter + per-row sort over the whole graph, ≈ 50 ms at n = 10⁶);
     /// here untouched neighbour/tail ranges are bulk-copied (memcpy
     /// speed), offsets are shifted by the running degree delta, and only
@@ -1618,6 +1619,103 @@ mod tests {
             d.attach_weights(&[1.0]),
             Err(GraphError::InvalidParameter(_))
         ));
+    }
+
+    #[test]
+    fn attached_weights_equal_a_weighted_build_of_the_same_edges() {
+        for (name, mut g) in every_family() {
+            if g.is_directed() {
+                continue;
+            }
+            let weighted: Vec<(NodeId, NodeId, f64)> = g
+                .edges()
+                .enumerate()
+                .map(|(i, (u, v))| (u, v, 0.25 + (i % 5) as f64))
+                .collect();
+            let per_edge: Vec<f64> = weighted.iter().map(|&(_, _, w)| w).collect();
+            let expected = Graph::from_weighted_edges(g.n(), &weighted).unwrap();
+            let (_, _) = (g.tails(), g.min_degree());
+            g.attach_weights(&per_edge).unwrap();
+            assert_eq!(g, expected, "{name}");
+            // The adjacency stays, so its memos stay built.
+            assert_eq!(g.offset_memos_built(), (true, true), "{name}");
+            g.check_invariants().unwrap();
+        }
+    }
+
+    #[test]
+    fn both_orientations_as_arcs_give_the_undirected_rows() {
+        for (name, g) in every_family() {
+            if g.is_directed() {
+                continue;
+            }
+            let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+            let arcs: Vec<(NodeId, NodeId)> =
+                edges.iter().flat_map(|&(u, v)| [(v, u), (u, v)]).collect();
+            let undirected = Graph::from_edges(g.n(), &edges).unwrap();
+            let directed = Graph::from_directed_edges(g.n(), &arcs).unwrap();
+            assert!(directed.is_directed(), "{name}");
+            assert_eq!(directed.offsets, undirected.offsets, "{name}");
+            assert_eq!(directed.neighbors, undirected.neighbors, "{name}");
+        }
+    }
+
+    /// An arc list with two faults reports the one earliest in the order
+    /// every shape shares: per-arc endpoint, self-loop and weight checks
+    /// in list order, then the first row with a repeated head, then the
+    /// first all-zero weight row.
+    #[test]
+    fn two_faults_report_the_same_one_for_every_shape() {
+        type Arcs<'a> = &'a [(NodeId, NodeId, f64)];
+        type Build = fn(usize, Arcs) -> Result<Graph, GraphError>;
+        fn ends(arcs: Arcs) -> Vec<(NodeId, NodeId)> {
+            arcs.iter().map(|&(u, v, _)| (u, v)).collect()
+        }
+        let shapes: [(&str, bool, Build); 4] = [
+            ("from_edges", false, |n, a| Graph::from_edges(n, &ends(a))),
+            ("from_weighted_edges", true, Graph::from_weighted_edges),
+            ("from_directed_edges", false, |n, a| {
+                Graph::from_directed_edges(n, &ends(a))
+            }),
+            (
+                "from_directed_weighted_edges",
+                true,
+                Graph::from_directed_weighted_edges,
+            ),
+        ];
+        // (arcs on 4 nodes, the error of a weighted shape, of a plain one)
+        let cases: [(Arcs, GraphError, GraphError); 4] = [
+            // A duplicate before a self loop: the self loop is per-arc.
+            (
+                &[(0, 1, 1.0), (0, 1, 1.0), (2, 2, 1.0)],
+                GraphError::SelfLoop { node: 2 },
+                GraphError::SelfLoop { node: 2 },
+            ),
+            // A duplicate before a bad weight: the weight is per-arc.
+            (
+                &[(0, 1, 1.0), (0, 1, 1.0), (1, 2, f64::NAN)],
+                GraphError::InvalidWeight { u: 1, v: 2 },
+                GraphError::DuplicateEdge { u: 0, v: 1 },
+            ),
+            // A bad weight before an out-of-range endpoint: list order.
+            (
+                &[(1, 2, -1.0), (0, 9, 1.0)],
+                GraphError::InvalidWeight { u: 1, v: 2 },
+                GraphError::InvalidNode { node: 9, n: 4 },
+            ),
+            // A zero row (node 3's) before a duplicate (in node 0's row).
+            (
+                &[(3, 1, 0.0), (0, 2, 1.0), (0, 2, 1.0), (1, 2, 1.0)],
+                GraphError::DuplicateEdge { u: 0, v: 2 },
+                GraphError::DuplicateEdge { u: 0, v: 2 },
+            ),
+        ];
+        for (arcs, weighted_err, plain_err) in cases {
+            for (name, weighted, build) in shapes {
+                let expected = if weighted { &weighted_err } else { &plain_err };
+                assert_eq!(build(4, arcs).as_ref(), Err(expected), "{name}: {arcs:?}");
+            }
+        }
     }
 
     #[test]

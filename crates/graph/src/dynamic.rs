@@ -427,7 +427,7 @@ impl DynamicGraph {
         }
         std::mem::swap(&mut self.front, &mut self.back);
         self.front
-            .assign_from_edges(self.n, &self.edges, &mut self.scratch)
+            .assign_arcs(self.n, &self.edges, false, &mut self.scratch)
             .expect("logical edge set is maintained valid");
         self.pending_add.clear();
         self.pending_remove.clear();

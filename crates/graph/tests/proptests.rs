@@ -1,9 +1,160 @@
 //! Property-based tests over randomly generated graphs.
 
-use od_graph::{generators, metrics, traversal, Graph, GraphBuilder};
+use od_graph::{generators, metrics, traversal, Graph, GraphBuilder, GraphError, NodeId};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+
+/// A weighted arc; plain shapes drop the weight.
+type Arc = (NodeId, NodeId, f64);
+
+/// Builds `arcs` on `n` nodes through the constructor of one shape.
+fn build(n: usize, arcs: &[Arc], directed: bool, weighted: bool) -> Result<Graph, GraphError> {
+    let ends: Vec<(NodeId, NodeId)> = arcs.iter().map(|&(u, v, _)| (u, v)).collect();
+    match (directed, weighted) {
+        (false, false) => Graph::from_edges(n, &ends),
+        (false, true) => Graph::from_weighted_edges(n, arcs),
+        (true, false) => Graph::from_directed_edges(n, &ends),
+        (true, true) => Graph::from_directed_weighted_edges(n, arcs),
+    }
+}
+
+/// The naive reference: each node's row as a `BTreeMap` from head to the
+/// weights given for it, with the documented fault order — per-arc
+/// endpoint, self-loop and weight checks in list order, then the first
+/// row (and its smallest head) given twice, then the first all-zero row.
+fn reference_rows(
+    n: usize,
+    arcs: &[Arc],
+    directed: bool,
+    weighted: bool,
+) -> Result<Vec<BTreeMap<NodeId, f64>>, GraphError> {
+    for &(u, v, w) in arcs {
+        for end in [u, v] {
+            if end as usize >= n {
+                return Err(GraphError::InvalidNode {
+                    node: end as u64,
+                    n,
+                });
+            }
+        }
+        if u == v {
+            return Err(GraphError::SelfLoop { node: u as u64 });
+        }
+        if weighted && !(w.is_finite() && w >= 0.0) {
+            return Err(GraphError::InvalidWeight {
+                u: u as u64,
+                v: v as u64,
+            });
+        }
+    }
+    let mut given: Vec<BTreeMap<NodeId, Vec<f64>>> = vec![BTreeMap::new(); n];
+    for &(u, v, w) in arcs {
+        given[u as usize].entry(v).or_default().push(w);
+        if !directed {
+            given[v as usize].entry(u).or_default().push(w);
+        }
+    }
+    for (u, row) in given.iter().enumerate() {
+        if let Some((&v, _)) = row.iter().find(|(_, ws)| ws.len() > 1) {
+            return Err(GraphError::DuplicateEdge {
+                u: u as u64,
+                v: v as u64,
+            });
+        }
+    }
+    let rows: Vec<BTreeMap<NodeId, f64>> = given
+        .into_iter()
+        .map(|row| row.into_iter().map(|(v, ws)| (v, ws[0])).collect())
+        .collect();
+    if weighted {
+        let zero = rows
+            .iter()
+            .position(|row| !row.is_empty() && row.values().all(|&w| w == 0.0));
+        if let Some(u) = zero {
+            return Err(GraphError::ZeroWeightRow { node: u as u64 });
+        }
+    }
+    Ok(rows)
+}
+
+/// A valid arc list on `n` nodes in random order: each pair (each arc,
+/// when `directed`) with probability `density`, undirected edges in a
+/// random orientation, weights in `[0.25, 4)` with some exact zeros.
+fn random_arcs(rng: &mut StdRng, n: usize, directed: bool, density: f64) -> Vec<Arc> {
+    let mut arcs = Vec::new();
+    for u in 0..n as NodeId {
+        for v in 0..n as NodeId {
+            if u == v || (!directed && u > v) || !rng.gen_bool(density) {
+                continue;
+            }
+            let (a, b) = if !directed && rng.gen_bool(0.5) {
+                (v, u)
+            } else {
+                (u, v)
+            };
+            let w = if rng.gen_bool(0.1) {
+                0.0
+            } else {
+                rng.gen_range(0.25..4.0)
+            };
+            arcs.push((a, b, w));
+        }
+    }
+    shuffle(rng, &mut arcs);
+    arcs
+}
+
+fn shuffle<T>(rng: &mut StdRng, items: &mut [T]) {
+    for i in (1..items.len()).rev() {
+        items.swap(i, rng.gen_range(0..=i));
+    }
+}
+
+/// Injects one fault into `arcs` on `n` nodes: 0 an out-of-range
+/// endpoint, 1 a self loop, 2 a repeated arc (an undirected edge maybe
+/// reversed), 3 a non-finite or negative weight, 4 an all-zero row.
+/// Faults 2–4 need an arc to act on and do nothing without one.
+fn inject(rng: &mut StdRng, arcs: &mut Vec<Arc>, n: usize, directed: bool, fault: usize) {
+    let at = rng.gen_range(0..=arcs.len());
+    let node = rng.gen_range(0..n as NodeId);
+    let picked = (!arcs.is_empty()).then(|| rng.gen_range(0..arcs.len()));
+    match (fault, picked) {
+        (0, _) => {
+            let far = n as NodeId + rng.gen_range(0..3u32);
+            let arc = if rng.gen_bool(0.5) {
+                (node, far, 1.0)
+            } else {
+                (far, node, 1.0)
+            };
+            arcs.insert(at, arc);
+        }
+        (1, _) => arcs.insert(at, (node, node, 1.0)),
+        (2, Some(i)) => {
+            let (u, v, w) = arcs[i];
+            let copy = if !directed && rng.gen_bool(0.5) {
+                (v, u, w)
+            } else {
+                (u, v, w)
+            };
+            arcs.insert(at, copy);
+        }
+        (3, Some(i)) => {
+            arcs[i].2 =
+                [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0][rng.gen_range(0..4usize)];
+        }
+        (4, Some(i)) => {
+            let row = arcs[i].0;
+            for arc in arcs.iter_mut() {
+                if arc.0 == row || (!directed && arc.1 == row) {
+                    arc.2 = 0.0;
+                }
+            }
+        }
+        _ => {}
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -140,5 +291,87 @@ proptest! {
             let after = metrics::isoperimetric_number_exact(&g2).unwrap();
             prop_assert!(after >= before - 1e-12, "{after} < {before}");
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every arc-list shape (un/directed × un/weighted) builds the rows of
+    /// the naive `BTreeMap` reference, weights and row sums bitwise, and
+    /// a reordered list (edges reversed at random where undirected) gives
+    /// an `==` graph.
+    #[test]
+    fn arc_lists_build_their_reference_rows(
+        seed in 0u64..1_000_000,
+        n in 1usize..12,
+        shape in 0usize..4,
+        density in 0.05f64..0.8,
+    ) {
+        let (directed, weighted) = (shape >= 2, shape % 2 == 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let arcs = random_arcs(&mut rng, n, directed, density);
+        let (built, reference) = (
+            build(n, &arcs, directed, weighted),
+            reference_rows(n, &arcs, directed, weighted),
+        );
+        let rows = match reference {
+            Ok(rows) => rows,
+            // Random zero weights can leave a weighted row all zero.
+            Err(e) => {
+                prop_assert_eq!(built.err(), Some(e));
+                return Ok(());
+            }
+        };
+        let g = built.unwrap();
+        prop_assert_eq!((g.n(), g.is_directed(), g.is_weighted()), (n, directed, weighted));
+        g.check_invariants().unwrap();
+        for (u, row) in rows.iter().enumerate() {
+            let u = u as NodeId;
+            let heads: Vec<NodeId> = row.keys().copied().collect();
+            prop_assert_eq!(g.neighbors(u), &heads[..]);
+            let bits: Vec<u64> = row.values().map(|w| w.to_bits()).collect();
+            let sum: f64 = row.values().sum();
+            let max = row.values().copied().fold(0.0f64, f64::max);
+            if weighted {
+                let got: Vec<u64> = g.row_weights(u).unwrap().iter().map(|w| w.to_bits()).collect();
+                prop_assert_eq!(got, bits);
+                prop_assert_eq!(g.row_weight_sum(u).to_bits(), sum.to_bits());
+                prop_assert_eq!(g.row_weight_max(u).to_bits(), max.to_bits());
+            } else {
+                prop_assert_eq!(g.row_weights(u), None);
+            }
+        }
+        let mut reordered = arcs.clone();
+        shuffle(&mut rng, &mut reordered);
+        if !directed {
+            for arc in reordered.iter_mut() {
+                if rng.gen_bool(0.5) {
+                    *arc = (arc.1, arc.0, arc.2);
+                }
+            }
+        }
+        prop_assert!(build(n, &reordered, directed, weighted).unwrap() == g);
+    }
+
+    /// With one or two injected faults every shape returns exactly the
+    /// reference's error: the same variant, naming the same arc, row or
+    /// node.
+    #[test]
+    fn faulty_arc_lists_report_the_reference_error(
+        seed in 0u64..1_000_000,
+        n in 2usize..10,
+        shape in 0usize..4,
+        first in 0usize..5,
+        second in 0usize..6,
+    ) {
+        let (directed, weighted) = (shape >= 2, shape % 2 == 1);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arcs = random_arcs(&mut rng, n, directed, 0.4);
+        inject(&mut rng, &mut arcs, n, directed, first);
+        inject(&mut rng, &mut arcs, n, directed, second);
+        let built = build(n, &arcs, directed, weighted).err();
+        let reference = reference_rows(n, &arcs, directed, weighted).err();
+        prop_assert_eq!(&built, &reference, "{built:?} != {reference:?} for {arcs:?}");
     }
 }

@@ -529,7 +529,9 @@ impl InitSpec {
     /// [`ScenarioSpec::validate`]).
     pub fn opinions(&self, n: usize) -> Vec<u32> {
         match *self {
-            InitSpec::Opinions { levels } => (0..n as u32).map(|i| i % levels as u32).collect(),
+            // The remainder is taken in `usize` (a level count over
+            // `u32::MAX` must not truncate); it is below `n`, so it fits.
+            InitSpec::Opinions { levels } => (0..n).map(|i| (i % levels) as u32).collect(),
             InitSpec::Distinct => (0..n as u32).collect(),
             _ => panic!("averaging init has no opinions"),
         }
@@ -732,7 +734,9 @@ pub fn load_replay_file(path: &str) -> Result<Vec<Vec<(u32, u32)>>, SimError> {
 pub fn load_edge_list_file(path: &str, directed: bool) -> Result<Graph, SimError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| SimError::Invalid(format!("graph file '{path}': {e}")))?;
-    let mut edges: Vec<(u32, u32, f64)> = Vec::new();
+    // Only the list of the file's shape fills: its constructor borrows it.
+    let mut plain: Vec<(u32, u32)> = Vec::new();
+    let mut weighted_edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut weighted: Option<bool> = None;
     let mut max_id = 0u32;
     for (idx, raw) in text.lines().enumerate() {
@@ -760,31 +764,25 @@ pub fn load_edge_list_file(path: &str, directed: bool) -> Result<Graph, SimError
         }
         let u: u32 = tokens[0].parse().map_err(|_| bad("malformed node id"))?;
         let v: u32 = tokens[1].parse().map_err(|_| bad("malformed node id"))?;
-        let w: f64 = if has_weight {
-            tokens[2].parse().map_err(|_| bad("malformed weight"))?
-        } else {
-            1.0
-        };
         max_id = max_id.max(u).max(v);
-        edges.push((u, v, w));
+        if has_weight {
+            let w: f64 = tokens[2].parse().map_err(|_| bad("malformed weight"))?;
+            weighted_edges.push((u, v, w));
+        } else {
+            plain.push((u, v));
+        }
     }
-    if edges.is_empty() {
+    if plain.is_empty() && weighted_edges.is_empty() {
         return Err(SimError::Invalid(format!(
             "graph file '{path}' contains no edges"
         )));
     }
     let n = max_id as usize + 1;
     let graph = match (directed, weighted.unwrap_or(false)) {
-        (false, false) => {
-            let plain: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-            Graph::from_edges(n, &plain)?
-        }
-        (false, true) => Graph::from_weighted_edges(n, &edges)?,
-        (true, false) => {
-            let plain: Vec<(u32, u32)> = edges.iter().map(|&(u, v, _)| (u, v)).collect();
-            Graph::from_directed_edges(n, &plain)?
-        }
-        (true, true) => Graph::from_directed_weighted_edges(n, &edges)?,
+        (false, false) => Graph::from_edges(n, &plain)?,
+        (false, true) => Graph::from_weighted_edges(n, &weighted_edges)?,
+        (true, false) => Graph::from_directed_edges(n, &plain)?,
+        (true, true) => Graph::from_directed_weighted_edges(n, &weighted_edges)?,
     };
     Ok(graph)
 }
@@ -2108,6 +2106,19 @@ mod tests {
             vec![0, 1, 2, 0, 1]
         );
         assert_eq!(InitSpec::Distinct.opinions(3), vec![0, 1, 2]);
+    }
+
+    #[test]
+    fn opinion_levels_past_u32_max_do_not_truncate() {
+        // `2³²` once truncated to 0 levels (a remainder-by-zero panic)
+        // and `2³² + 1` to 1 level (every node the same opinion); the
+        // `init_distributions` keeps `levels=3`.
+        for levels in [1usize << 32, (1usize << 32) + 1] {
+            assert_eq!(
+                InitSpec::Opinions { levels }.opinions(5),
+                vec![0, 1, 2, 3, 4]
+            );
+        }
     }
 
     /// A scratch file under the target temp dir whose path is a single
